@@ -32,7 +32,6 @@ from .geometry import (
     ExtensionResult,
     Hyperplane,
     cayley_menger_volume,
-    close,
     extend_positions,
     hyperplane_through,
     reflect,
@@ -46,7 +45,6 @@ from .instance import (
     counterexample,
     edge_kind,
     edge_violations,
-    max_edge_residual,
     parse_instance,
     random_instance,
     regular_simplex,

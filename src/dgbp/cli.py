@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-tree", action="store_true",
                    help="retain the search tree in memory while solving")
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--plot", help="also write a flat coordinate table here")
     p.set_defaults(func=cmd_solve)
 
@@ -220,7 +219,7 @@ def cmd_solve(args, command: str) -> int:
         _say(f"invalid instance: {report.summary()}")
         return EXIT_INVALID
     opts = SolverOptions(atol=args.atol, rtol=args.rtol, keep_tree=args.keep_tree,
-                         max_nodes=args.max_nodes, threads=args.threads)
+                         max_nodes=args.max_nodes)
     budget_hit = False
     try:
         result = solve(inst, opts)

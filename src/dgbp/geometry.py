@@ -34,11 +34,6 @@ EPS_RANK = 1e-12
 DISC_CLAMP = 1e-12
 
 
-def close(a: float, b: float, atol: float = 1e-12, rtol: float = 1e-9) -> bool:
-    """Absolute-plus-relative scalar comparison used throughout the package."""
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
-
-
 def cayley_menger_volume(sq_dists, dim: int) -> float:
     """Volume of the ``dim``-simplex given its squared pairwise distances.
 

@@ -297,15 +297,6 @@ def edge_violations(inst: Instance, embedding, atol: float = 1e-9, rtol: float =
     return out
 
 
-def max_edge_residual(inst: Instance, embedding) -> float:
-    """Largest absolute distance error over all edges."""
-    emb = np.asarray(embedding, dtype=float)
-    worst = 0.0
-    for (u, v), d in inst.edges.items():
-        worst = max(worst, abs(float(np.linalg.norm(emb[u - 1] - emb[v - 1])) - d))
-    return worst
-
-
 _FMT = "%.17g"
 
 

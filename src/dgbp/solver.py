@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -47,15 +46,14 @@ class SolverOptions:
 
     ``atol``/``rtol`` form the pruning band: an edge check fails iff
     ``|dist - d| > atol + rtol * d``.  ``max_nodes`` caps created tree nodes;
-    ``threads`` > 1 explores the first branching level's subtrees in
-    parallel (output is identical for any value).
+    ``keep_tree`` retains the search tree that ``branch_code``,
+    ``partial_reflection`` and ``distance_spectrum`` walk.
     """
 
     atol: float = 1e-9
     rtol: float = 1e-9
     keep_tree: bool = False
     max_nodes: int | None = None
-    threads: int = 1
 
 
 class BpNode:
@@ -83,22 +81,9 @@ class BpTree:
     root: BpNode
     levels: dict
     instance: Instance
-    _marks: set | None = field(default=None, repr=False)
 
     def feasible_leaves(self) -> list[BpNode]:
         return [node for node in self.levels.get(self.instance.n, []) if node.feasible]
-
-    def feasible_path_marks(self) -> set:
-        """ids of all nodes lying on some root-to-feasible-leaf path."""
-        if self._marks is None:
-            marks = set()
-            for leaf in self.feasible_leaves():
-                node = leaf
-                while node is not None and id(node) not in marks:
-                    marks.add(id(node))
-                    node = node.parent
-            self._marks = marks
-        return self._marks
 
 
 @dataclass
@@ -124,19 +109,6 @@ class SolveStats:
 
     def bump(self, level: int, feasible_children: int) -> None:
         self.child_hist.setdefault(level, [0, 0, 0])[feasible_children] += 1
-
-    def merge(self, other: "SolveStats") -> None:
-        self.nodes_feasible += other.nodes_feasible
-        self.nodes_infeasible += other.nodes_infeasible
-        self.candidates_pruned += other.candidates_pruned
-        self.empty_extensions += other.empty_extensions
-        self.tangent_events += other.tangent_events
-        self.max_window_residual = max(self.max_window_residual, other.max_window_residual)
-        for lvl, hist in other.child_hist.items():
-            mine = self.child_hist.setdefault(lvl, [0, 0, 0])
-            for i in range(3):
-                mine[i] += hist[i]
-        self.budget_exceeded = self.budget_exceeded or other.budget_exceeded
 
 
 @dataclass(eq=False)
@@ -168,17 +140,15 @@ class _Budget:
     def __init__(self, limit: int | None):
         self.limit = limit
         self.count = 0
-        self._lock = threading.Lock()
 
     def add(self, k: int) -> None:
-        with self._lock:
-            self.count += k
-            if self.limit is not None and self.count > self.limit:
-                raise _BudgetHit()
+        self.count += k
+        if self.limit is not None and self.count > self.limit:
+            raise _BudgetHit()
 
 
 class _Ctx:
-    """Per-worker mutable search state."""
+    """Mutable search state."""
 
     __slots__ = ("K", "path", "sides", "solutions", "codes", "leaves", "levels", "stats")
 
@@ -191,12 +161,6 @@ class _Ctx:
         self.leaves: list = []
         self.levels: dict = {}
         self.stats = SolveStats()
-
-    def fork(self) -> "_Ctx":
-        sub = _Ctx(self.path.shape[0], self.K)
-        sub.path = self.path.copy()
-        sub.sides = list(self.sides)
-        return sub
 
     def record_leaf(self, node) -> None:
         self.solutions.append(self.path.copy())
@@ -247,51 +211,11 @@ class _Search:
             self.budget.add(2 * self.K)
             if self.n == self.K:
                 ctx.record_leaf(chain_end)
-            elif self.opts.threads > 1:
-                self._run_parallel(ctx, chain_end)
             else:
                 self._expand(ctx, self.K + 1, chain_end, None)
         except _BudgetHit:
             ctx.stats.budget_exceeded = True
         return ctx
-
-    def _run_parallel(self, ctx: _Ctx, chain_end) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        level = self.K + 1
-        anchors = ctx.path[:self.K]
-        plane = hyperplane_through(anchors, reference=None)
-        ext = extend_positions(anchors, self.radii[level])
-        children = self._make_children(ctx, level, chain_end, plane, ext, anchors)
-        tasks = []
-        for node, point, side, ok in children:
-            if not ok:
-                continue
-            sub = ctx.fork()
-            sub.path[level - 1] = point
-            sub.sides.append(side)
-            tasks.append((sub, node))
-
-        def work(task):
-            sub, node = task
-            try:
-                self._expand(sub, level + 1, node, plane.normal)
-            except _BudgetHit:
-                sub.stats.budget_exceeded = True
-            return sub
-
-        if tasks:
-            with ThreadPoolExecutor(max_workers=min(self.opts.threads, len(tasks))) as pool:
-                done = list(pool.map(work, tasks))
-        else:
-            done = []
-        for sub in done:  # task order == side order, keeps output deterministic
-            ctx.solutions += sub.solutions
-            ctx.codes += sub.codes
-            ctx.leaves += sub.leaves
-            for lvl, nodes in sub.levels.items():
-                ctx.levels.setdefault(lvl, []).extend(nodes)
-            ctx.stats.merge(sub.stats)
 
     def _expand(self, ctx: _Ctx, level: int, parent, prev_normal) -> None:
         if level > self.n:
@@ -374,10 +298,9 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     """Enumerate every embedding of a valid instance.
 
     Depth-first, side-0 child first; solutions come back sorted by their
-    branch code, so output is deterministic and identical for any thread
-    count.  Raises InvalidInstance when validation fails and
-    NodeBudgetExceeded (with the flagged partial result attached) when
-    ``opts.max_nodes`` is hit.
+    branch code, so output is deterministic.  Raises InvalidInstance when
+    validation fails and NodeBudgetExceeded (with the flagged partial result
+    attached) when ``opts.max_nodes`` is hit.
     """
     opts = opts or SolverOptions()
     report = validate(inst)

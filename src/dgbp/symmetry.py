@@ -13,6 +13,7 @@ fails.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,6 @@ from .geometry import hyperplane_through, reflect
 
 #: Largest generator count for which the subgroup is materialised exactly.
 MAX_EXACT_GENERATORS = 24
-
-#: Number of random elements drawn for the sampled orbit check.
-ORBIT_SAMPLES = 2**16
 
 #: Relative cluster tolerance for distance spectra (scaled by the largest
 #: edge distance of the instance).
@@ -110,18 +108,26 @@ def branch_levels(result) -> frozenset:
 
 def branches_both_ways(result, index: int, vertex: int) -> bool:
     """Does this solution's path split at ``vertex`` with feasible leaves on
-    both sides?  Computed from the retained tree."""
+    both sides?
+
+    Read off the code set: the path branches iff some code extends this
+    solution's length-(vertex-1) prefix with a 0 bit and another with a 1
+    bit.  ``branch_codes`` is in lexicographic order, so two bisections
+    answer that.  The tree is still required, as for the reflection itself.
+    """
     if result.tree is None or result.leaves is None:
         raise TreeDiscarded("branch predicate needs solve(..., keep_tree=True)")
     K, n = result.instance.dimension, result.instance.n
     if not K + 1 <= vertex <= n:
         raise ValueError(f"vertex must be in {K + 1}..{n}, got {vertex}")
-    node = result.leaves[index]
-    while node.level > vertex:
-        node = node.parent
-    marks = result.tree.feasible_path_marks()
-    live = [c for c in node.parent.children if c.feasible and id(c) in marks]
-    return len(live) == 2
+    codes = result.branch_codes
+    prefix = codes[index][: vertex - 1]
+    return all(_has_prefix(codes, prefix + (bit,)) for bit in (0, 1))
+
+
+def _has_prefix(sorted_codes, prefix: tuple) -> bool:
+    at = bisect_left(sorted_codes, prefix)
+    return at < len(sorted_codes) and sorted_codes[at][: len(prefix)] == prefix
 
 
 def partial_reflection(result, index: int, vertex: int) -> np.ndarray:
@@ -164,7 +170,6 @@ class SymmetryReport:
     group_order: int
     codes: tuple
     orbit_verified: bool
-    orbit_check_exact: bool
     power_of_two: bool
     degenerate: bool
     uniform_level_violations: tuple
@@ -172,19 +177,23 @@ class SymmetryReport:
     reflection_checks: tuple
 
 
-def verify_orbit(result, rng_seed: int = 0) -> SymmetryReport:
+def verify_orbit(result) -> SymmetryReport:
     """Check that the code set is one orbit of the suffix-flip subgroup.
 
-    Spans the flips at the fully branching levels, XORs the lexicographically
-    least code against the whole subgroup and compares with the code set, and
-    checks that the solution count equals the subgroup order.  Both verdicts
-    are reported, not raised: on generic instances they hold, on degenerate
-    ones (flagged via the mixed-children diagnostic or tangent events) they
-    are expected to fail.  With a retained tree, every (solution, level) pair
-    is additionally checked against the tail-reflection prediction.
+    With ``base`` the least code, a code ``c`` lies in ``base`` XOR the span
+    of the flips at the fully branching levels I iff ``d = c XOR base``
+    changes bit value (reading ``d_0 = 0``) only at levels in I: the flips
+    form a triangular basis.  The orbit holds iff every code passes and the
+    code set has exactly 2**|I| elements; the power-of-two verdict compares
+    the solution count with that order.  Both verdicts are reported, not
+    raised: on generic instances they hold, on degenerate ones (flagged via
+    the mixed-children diagnostic or tangent events) they are expected to
+    fail.  This test is linear in the total code length.
 
-    Beyond ``MAX_EXACT_GENERATORS`` branching levels the subgroup is not
-    materialised; membership is then sampled (``orbit_check_exact=False``).
+    With a retained tree, every (solution, level in I) pair is additionally
+    checked against the tail-reflection prediction: the residual is measured
+    to the solution whose code is the predicted partner ``c XOR flip_i``, or
+    is ``inf`` (``matched_index=-1``) when no solution has that code.
     """
     codes = list(result.branch_codes)
     if not codes:
@@ -192,25 +201,10 @@ def verify_orbit(result, rng_seed: int = 0) -> SymmetryReport:
     n = len(codes[0])
     levels = branch_levels(result)
     gens = tuple(suffix_flip(i, n) for i in sorted(levels))
-    code_set = set(codes)
-    base = min(code_set)
     group_order = 2 ** len(levels)
-    if len(levels) <= MAX_EXACT_GENERATORS:
-        group = span_flips(gens, n)
-        assert len(group) == group_order
-        orbit_verified = {xor_bits(base, g) for g in group} == code_set
-        exact = True
-    else:
-        rng = np.random.default_rng(rng_seed)
-        picks = rng.integers(0, 2, size=(ORBIT_SAMPLES, len(gens)))
-        orbit_verified = True
-        for row in picks:
-            element = combine_flips(
-                [lvl for lvl, bit in zip(sorted(levels), row) if bit], n)
-            if xor_bits(base, element) not in code_set:
-                orbit_verified = False
-                break
-        exact = False
+    base = min(codes)
+    orbit_verified = len(set(codes)) == group_order and all(
+        _in_flip_span(xor_bits(code, base), levels) for code in codes)
     power_of_two = len(result.solutions) == group_order
 
     stats = getattr(result, "stats", None)
@@ -220,20 +214,22 @@ def verify_orbit(result, rng_seed: int = 0) -> SymmetryReport:
 
     checks: list[ReflectionCheck] = []
     if result.tree is not None and result.leaves is not None and result.solutions:
-        stack = np.stack(result.solutions)
+        index_of = {code: i for i, code in enumerate(codes)}
         for idx, code in enumerate(codes):
             for lvl in sorted(levels):
                 mirrored = partial_reflection(result, idx, lvl)
-                residuals = np.max(
-                    np.linalg.norm(stack - mirrored[None, :, :], axis=2), axis=1)
-                best = int(np.argmin(residuals))
-                want = xor_bits(code, suffix_flip(lvl, n))
+                partner = index_of.get(xor_bits(code, suffix_flip(lvl, n)))
+                if partner is None:
+                    partner, residual = -1, float("inf")
+                else:
+                    residual = float(np.max(np.linalg.norm(
+                        result.solutions[partner] - mirrored, axis=1)))
                 checks.append(ReflectionCheck(
                     solution_index=idx,
                     level=lvl,
-                    residual=float(residuals[best]),
-                    code_matches=codes[best] == want,
-                    matched_index=best,
+                    residual=residual,
+                    code_matches=partner >= 0,
+                    matched_index=partner,
                 ))
 
     return SymmetryReport(
@@ -244,13 +240,22 @@ def verify_orbit(result, rng_seed: int = 0) -> SymmetryReport:
         group_order=group_order,
         codes=tuple(codes),
         orbit_verified=orbit_verified,
-        orbit_check_exact=exact,
         power_of_two=power_of_two,
         degenerate=degenerate,
         uniform_level_violations=violations,
         tangent_events=tangents,
         reflection_checks=tuple(checks),
     )
+
+
+def _in_flip_span(diff: tuple, levels) -> bool:
+    """Is ``diff`` an XOR of suffix flips at ``levels``?"""
+    prev = 0
+    for level, bit in enumerate(diff, start=1):
+        if bit != prev and level not in levels:
+            return False
+        prev = bit
+    return True
 
 
 def distance_spectrum(result, u: int, v: int) -> tuple:
@@ -314,7 +319,6 @@ def serialize_report(report: SymmetryReport) -> str:
         "branch_levels: " + " ".join(map(str, sorted(report.branch_levels))),
         f"group_order: {report.group_order}",
         f"orbit_verified: {str(report.orbit_verified).lower()}",
-        f"orbit_check: {'exact' if report.orbit_check_exact else 'sampled'}",
         f"power_of_two: {str(report.power_of_two).lower()}",
         f"degenerate: {str(report.degenerate).lower()}",
         "uniform_level_violations: "

@@ -192,14 +192,6 @@ class TestDeterminism:
         region, sha, _ = split_trailer(read(out))
         assert hashlib.sha256(region.encode()).hexdigest() == sha
 
-    def test_threads_do_not_change_body(self, tmp_path):
-        inst = fixture_path("random_05")
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        main(["solve", str(inst), "--out", str(a), "--threads", "1"])
-        main(["solve", str(inst), "--out", str(b), "--threads", "4"])
-        body = lambda p: region_of(p)[region_of(p).index("format:"):]
-        assert body(a) == body(b)
-
 
 class TestPipelineClosure:
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -131,24 +131,6 @@ class TestSolveContracts:
         b = serialize_result(solve(inst))
         assert a == b
 
-    def test_thread_count_does_not_change_output(self, corpus):
-        inst = corpus["random_05"]
-        base = serialize_result(solve(inst))
-        for threads in (2, 4):
-            assert serialize_result(solve(inst, SolverOptions(threads=threads))) == base
-
-    def test_threads_with_retained_tree(self, corpus):
-        inst = corpus["random_01"]
-        single = solve(inst, SolverOptions(keep_tree=True, threads=1))
-        multi = solve(inst, SolverOptions(keep_tree=True, threads=2))
-        assert serialize_result(multi) == serialize_result(single)
-        for lvl, nodes in single.tree.levels.items():
-            got = [(n.side, n.feasible) for n in multi.tree.levels[lvl]]
-            want = [(n.side, n.feasible) for n in nodes]
-            assert got == want, lvl
-        for i in range(multi.solution_count):
-            assert branch_code(multi, i) == multi.branch_codes[i]
-
     def test_invalid_instance_rejected(self):
         inst = counterexample(2)
         edges = dict(inst.edges)

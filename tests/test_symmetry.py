@@ -11,7 +11,7 @@ from dgbp.errors import (
     TreeDiscarded,
 )
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
-from dgbp.solver import SolverOptions, solve
+from dgbp.solver import SolveResult, SolveStats, SolverOptions, solve
 from dgbp.symmetry import (
     branch_levels,
     branches_both_ways,
@@ -119,7 +119,7 @@ class TestVerifyOrbit:
     def test_chain(self, chain_k2_n5):
         result = solve(chain_k2_n5)
         report = verify_orbit(result)
-        assert report.orbit_verified and report.orbit_check_exact
+        assert report.orbit_verified
         assert report.group_order == 8 == report.solution_count
         assert report.power_of_two and not report.degenerate
 
@@ -140,23 +140,53 @@ class TestVerifyOrbit:
         assert all(c.residual <= 1e-9 and c.code_matches
                    for c in report.reflection_checks)
 
+    def test_counterexample_reflections_with_tree(self):
+        # two tails per K reflect onto a code no solution has: those checks
+        # carry no partner, the other ten land on their partner exactly
+        for K in range(1, 5):
+            result = solve(counterexample(K), SolverOptions(keep_tree=True))
+            checks = verify_orbit(result).reflection_checks
+            assert len(checks) == 12
+            absent = [c for c in checks if not c.code_matches]
+            assert len(absent) == 2
+            assert all(c.matched_index == -1 and c.residual == float("inf")
+                       for c in absent)
+            assert all(c.residual <= 1e-9 and c.matched_index >= 0
+                       for c in checks if c.code_matches)
+
+    @pytest.mark.parametrize("codes, verified", [
+        ([(0, 0), (1, 0)], False),  # right size for |I| = 1, not a coset
+        ([(0, 0), (1, 1)], True),
+    ])
+    def test_orbit_verdict_examples(self, codes, verified):
+        report = verify_orbit(_bare_result(codes))
+        assert report.power_of_two
+        assert report.orbit_verified is verified
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_orbit_verdict_matches_span_reference(self, data):
+        n = data.draw(st.integers(1, 10))
+        bits = st.tuples(*[st.integers(0, 1)] * n)
+        # a coset of a random flip subgroup, then a few codes toggled, so
+        # both verdicts come up often
+        levels = data.draw(st.sets(st.integers(1, n)))
+        coset = {xor_bits(data.draw(bits), g)
+                 for g in span_flips([suffix_flip(i, n) for i in levels], n)}
+        codes = coset ^ data.draw(st.sets(bits, max_size=2))
+        if not codes:
+            codes = coset
+        report = verify_orbit(_bare_result(sorted(codes)))
+        base = min(codes)
+        reference = {xor_bits(base, g) for g in span_flips(report.generators, n)}
+        assert report.orbit_verified == (reference == codes)
+
     def test_group_materialisation_capped(self):
         from dgbp.errors import GroupTooLarge
 
         gens = [suffix_flip(i, 30) for i in range(1, 26)]
         with pytest.raises(GroupTooLarge):
             span_flips(gens, 30)
-
-    def test_sampled_orbit_check(self, chain_k2_n5, monkeypatch):
-        import dgbp.symmetry as symmetry
-
-        monkeypatch.setattr(symmetry, "MAX_EXACT_GENERATORS", 2)
-        monkeypatch.setattr(symmetry, "ORBIT_SAMPLES", 256)
-        result = solve(chain_k2_n5)
-        report = symmetry.verify_orbit(result)
-        assert report.orbit_verified
-        assert not report.orbit_check_exact
-        assert "orbit_check: sampled" in serialize_report(report)
 
     def test_orbit_closure(self, corpus):
         for name in ("chain_k2_n5", "random_04", "random_09"):
@@ -184,6 +214,12 @@ class TestVerifyOrbit:
         assert "power_of_two: true" in text
         assert "branch_levels: 3 4 5" in text
         assert text.count("\n00") >= 7  # one code line per solution
+
+
+def _bare_result(codes):
+    """A solve result holding only codes (no instance, tree or leaves)."""
+    solutions = [np.zeros((len(codes[0]), 1)) for _ in codes]
+    return SolveResult(None, solutions, list(codes), None, SolveStats(), None)
 
 
 class TestPartialReflection:
