@@ -23,7 +23,6 @@ from .errors import (
     NodeBudgetExceeded,
     NoSiblingBranch,
     ParseError,
-    SingularPivot,
     SubtreeNotFull,
     TreeDiscarded,
 )

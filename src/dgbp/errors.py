@@ -17,10 +17,6 @@ class DegenerateSpan(DgbpError, ValueError):
     """Anchor points fail the strict simplex inequality (no hyperplane)."""
 
 
-class SingularPivot(DgbpError, ArithmeticError):
-    """No usable elimination block was found (numerical breakdown)."""
-
-
 class ParseError(DgbpError, ValueError):
     """A text file does not follow the expected grammar."""
 

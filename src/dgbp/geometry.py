@@ -7,19 +7,19 @@ degenerate anchors, the hyperplane through K anchor points, the mirror image
 across it, and the two-point intersection of the K spheres centred at the
 anchors.
 
-All functions are pure and never mutate their arguments, so they are safe to
-call from any number of workers.
+All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSpan, DimensionMismatch, NegativeDeterminant, SingularPivot
+from .errors import DegenerateSpan, DimensionMismatch, NegativeDeterminant
 
 #: Threshold below which a normal component counts as zero (pivot selection,
 #: canonical orientation, orientation ties).
@@ -88,6 +88,10 @@ class Hyperplane:
     offset: float
     pivot_index: int
 
+    def side(self, point) -> int:
+        """Side bit of ``point``: 0 on or behind the plane, 1 in front of it."""
+        return 0 if float(self.normal @ point) - self.offset <= 0.0 else 1
+
 
 def _canonical_sign(a: np.ndarray) -> np.ndarray:
     """Flip ``a`` so its first nonzero component is positive."""
@@ -97,27 +101,35 @@ def _canonical_sign(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hyperplane_through(points, reference=None, eps_rank: float = EPS_RANK) -> Hyperplane:
-    """Fit the hyperplane containing K points of R^K.
+@functools.lru_cache(maxsize=None)
+def _cofactor_layout(K: int) -> tuple:
+    """Row j lists every column of a (K-1, K) matrix but j; signs are (-1)**j."""
+    kept = np.arange(K - 1)
+    kept = kept + (kept >= np.arange(K)[:, None])
+    signs = (-1.0) ** np.arange(K)
+    kept.flags.writeable = signs.flags.writeable = False
+    return kept, signs
 
-    The points must affinely span a (K-1)-flat, otherwise DegenerateSpan is
-    raised.  Orientation: the normal is flipped, if necessary, so that
-    ``normal . reference >= 0``; when no reference is given (or the dot
-    product vanishes) the first nonzero component of the normal is made
-    positive instead, which keeps the labelling deterministic.
+
+def _anchor_plane(X: np.ndarray, reference) -> tuple[Hyperplane, np.ndarray]:
+    """Oriented hyperplane through the K rows of ``X``, with its raw normal.
+
+    The raw normal holds the signed maximal minors of the anchor differences
+    ``X[:-1] - X[-1]``: entry j is (-1)**j times the minor left by deleting
+    column j, the generalized cross product of the K-1 rows ((1,) when
+    K = 1).  By Cauchy-Binet its length is the Gram volume of the rows; when
+    that is negligible against the product of the row lengths the anchors
+    are degenerate and DegenerateSpan is raised.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionMismatch(f"expected K points of R^K, got array of shape {P.shape}")
-    K = P.shape[1]
-    if K == 1:
-        normal = np.array([1.0])
-    else:
-        diffs = P[1:] - P[0]
-        _, sing, vt = np.linalg.svd(diffs)
-        if sing[0] <= 0.0 or sing[-1] <= eps_rank * sing[0]:
-            raise DegenerateSpan("anchor points do not span a hyperplane")
-        normal = vt[-1]
+    K = X.shape[1]
+    diffs = X[:-1] - X[-1]
+    kept, signs = _cofactor_layout(K)
+    minors = signs * np.linalg.det(diffs[:, kept].transpose(1, 0, 2))
+    length = math.hypot(*minors.tolist())
+    row_scale = math.prod(max(math.hypot(*row), 1e-300) for row in diffs.tolist())
+    if length <= EPS_RANK * row_scale:
+        raise DegenerateSpan("anchor points do not span a hyperplane")
+    normal = minors / length
     if reference is not None:
         along = float(normal @ np.asarray(reference, dtype=float))
         if along < -EPS_NORMAL:
@@ -126,10 +138,26 @@ def hyperplane_through(points, reference=None, eps_rank: float = EPS_RANK) -> Hy
             normal = _canonical_sign(normal)
     else:
         normal = _canonical_sign(normal)
-    normal = np.array(normal, dtype=float)
-    offset = float(np.mean(P @ normal))
+    offset = float((X @ normal).sum()) / K
     pivot = int(np.argmax(np.abs(normal) > EPS_NORMAL))
-    return Hyperplane(normal=normal, offset=offset, pivot_index=pivot)
+    return Hyperplane(normal=normal, offset=offset, pivot_index=pivot), minors
+
+
+def hyperplane_through(points, reference=None) -> Hyperplane:
+    """Oriented hyperplane through K points of R^K.
+
+    The normal is the normalised vector of signed anchor minors, the same
+    one :func:`extend_positions` returns as ``ext.plane``; DegenerateSpan is
+    raised when the points do not affinely span a (K-1)-flat.  Orientation:
+    the normal is flipped, if necessary, so that ``normal . reference >= 0``;
+    when no reference is given (or the dot product vanishes) the first
+    nonzero component of the normal is made positive instead, which keeps
+    the labelling deterministic.
+    """
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise DimensionMismatch(f"expected K points of R^K, got array of shape {P.shape}")
+    return _anchor_plane(P, reference)[0]
 
 
 def reflect(plane: Hyperplane, point) -> np.ndarray:
@@ -159,30 +187,33 @@ class ExtensionKind(Enum):
 class ExtensionResult:
     """Outcome of intersecting the K anchor spheres.
 
-    ``discriminant`` is the raw quadratic discriminant before the tangency
-    band is applied; ``points`` holds 0, 1 or 2 placements.
+    ``plane`` is the oriented hyperplane through the anchors, as
+    :func:`hyperplane_through` gives it.  ``points`` holds 0, 1 or 2
+    placements; a PAIR is a mirror pair across ``plane`` listed side 0 first,
+    so ``points[s]`` is the placement with side bit ``s``.  ``discriminant``
+    is the raw quadratic discriminant before the tangency band is applied.
     """
 
     kind: ExtensionKind
     points: tuple
     discriminant: float
+    plane: Hyperplane
 
 
-def extend_positions(anchors, radii, free_column: int | None = None,
-                     eps_rank: float = EPS_RANK) -> ExtensionResult:
+def extend_positions(anchors, radii, reference=None) -> ExtensionResult:
     """Intersect the K spheres ``|z - anchor_u| = radius_u`` in R^K.
 
-    Subtracting the squared sphere equation of the last anchor (the highest
-    ranked one) from the others leaves K-1 linear equations; eliminating K-1
-    coordinates against the best-conditioned column block reduces the system
-    to one quadratic in the remaining coordinate.  Its discriminant decides
-    between zero, one (tangent) and two intersection points; the two points
-    of a PAIR are mirror images across the hyperplane through the anchors.
-
-    ``free_column`` forces which coordinate is kept as the quadratic
-    variable; by default the column whose removal leaves the largest
-    elimination block determinant is chosen.  The returned point set does not
-    depend on that choice beyond round-off.
+    This is the one geometry call per placed vertex.  The signed maximal
+    minors of the anchor differences give both the oriented anchor
+    hyperplane (see :func:`hyperplane_through`, whose ``reference`` rule
+    applies) and the elimination pivot: subtracting the squared sphere
+    equation of the last anchor (the highest ranked one) from the others
+    leaves K-1 linear equations, which are solved for every coordinate but
+    the one with the largest minor, reducing the system to one quadratic in
+    that coordinate.  Its discriminant decides between zero, one (tangent)
+    and two intersection points.  The two points of a PAIR come back in side
+    order: the one with the smaller signed offset from the plane first, the
+    first root on a tie.
     """
     X = np.asarray(anchors, dtype=float)
     r = np.asarray(radii, dtype=float)
@@ -193,64 +224,43 @@ def extend_positions(anchors, radii, free_column: int | None = None,
         raise DimensionMismatch(f"expected {K} radii, got array of shape {r.shape}")
     if np.any(r <= 0.0):
         raise ValueError("radii must be positive")
-    if free_column is not None and not 0 <= free_column < K:
-        raise ValueError(f"free_column must be in [0, {K}), got {free_column}")
+    plane, minors = _anchor_plane(X, reference)
 
     w = X[-1]
     rw = float(r[-1])
-    if K == 1:
-        free = 0
-        basis = np.array([], dtype=int)
-        part = np.zeros(0)
-        slope = np.zeros(0)
-        qa = 1.0
-        qb = -2.0 * float(w[0])
-        qc = float(w[0]) ** 2 - rw**2
-    else:
-        A = 2.0 * (X[:-1] - w)
-        b = np.sum(X[:-1] ** 2, axis=1) - float(w @ w) - r[:-1] ** 2 + rw**2
-        row_scale = 1.0
-        for row in A:
-            row_scale *= max(float(np.linalg.norm(row)), 1e-300)
-        dets = np.array([float(np.linalg.det(np.delete(A, j, axis=1))) for j in range(K)])
-        # Cauchy-Binet: sum of squared minors equals the Gram determinant, so
-        # this is a volume test for the anchor simplex.
-        if math.sqrt(float(np.sum(dets**2))) <= eps_rank * row_scale:
-            raise DegenerateSpan("anchor points do not span a hyperplane")
-        free = int(np.argmax(np.abs(dets))) if free_column is None else free_column
-        if abs(dets[free]) <= EPS_NORMAL * row_scale:
-            raise SingularPivot(f"free column {free} leaves a singular elimination block")
-        basis = np.array([j for j in range(K) if j != free])
-        B = A[:, basis]
-        solved = np.linalg.solve(B, np.column_stack([b, A[:, free]]))
-        part = solved[:, 0]
-        slope = solved[:, 1]
-        wB = w[basis]
-        wf = float(w[free])
-        diff = part - wB
-        qa = float(slope @ slope) + 1.0
-        qb = -2.0 * (float(slope @ diff) + wf)
-        qc = float(diff @ diff) + wf**2 - rw**2
+    A = 2.0 * (X[:-1] - w)
+    b = np.sum(X[:-1] ** 2, axis=1) - float(w @ w) - r[:-1] ** 2 + rw**2
+    # The largest minor is at least |minors|/sqrt(K), which the volume test
+    # in _anchor_plane keeps away from zero, so this block is regular.
+    free = int(np.argmax(np.abs(minors)))
+    basis = _cofactor_layout(K)[0][free]
+    solved = np.linalg.solve(A[:, basis], np.column_stack([b, A[:, free]]))
+    part = solved[:, 0]
+    slope = solved[:, 1]
+    diff = part - w[basis]
+    wf = float(w[free])
+    qa = float(slope @ slope) + 1.0
+    qb = -2.0 * (float(slope @ diff) + wf)
+    qc = float(diff @ diff) + wf**2 - rw**2
 
     disc = qb * qb - 4.0 * qa * qc
     eps_disc = DISC_CLAMP * float(np.max(r)) ** 2
 
     def assemble(zf: float) -> np.ndarray:
         z = np.empty(K)
-        if K > 1:
-            z[basis] = part - slope * zf
+        z[basis] = part - slope * zf
         z[free] = zf
         return z
 
     if disc < -eps_disc:
-        return ExtensionResult(ExtensionKind.EMPTY, (), disc)
+        return ExtensionResult(ExtensionKind.EMPTY, (), disc, plane)
     if disc <= eps_disc:
-        return ExtensionResult(ExtensionKind.TANGENT, (assemble(-qb / (2.0 * qa)),), disc)
+        return ExtensionResult(
+            ExtensionKind.TANGENT, (assemble(-qb / (2.0 * qa)),), disc, plane)
     root = math.sqrt(disc)
     # Stable quadratic formula: avoid cancellation between -qb and the root.
     shifted = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else -0.5 * root
-    z_first = shifted / qa
-    z_second = qc / shifted
-    return ExtensionResult(
-        ExtensionKind.PAIR, (assemble(z_first), assemble(z_second)), disc
-    )
+    pair = (assemble(shifted / qa), assemble(qc / shifted))
+    if float(plane.normal @ pair[0]) > float(plane.normal @ pair[1]):
+        pair = pair[::-1]
+    return ExtensionResult(ExtensionKind.PAIR, pair, disc, plane)

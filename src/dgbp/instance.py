@@ -8,7 +8,7 @@ vertex then reduces to intersecting K spheres.  Edges reaching further back
 than the window are *pruning* edges: they never help place a vertex, they
 only discard candidate placements.
 
-Instances are immutable after construction and safe to share across workers.
+Instances are immutable after construction.
 """
 
 from __future__ import annotations

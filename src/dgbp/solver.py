@@ -209,57 +209,56 @@ class _Search:
             ctx.stats.bump(lvl, 1)
         try:
             self.budget.add(2 * self.K)
-            if self.n == self.K:
-                ctx.record_leaf(chain_end)
-            else:
-                self._expand(ctx, self.K + 1, chain_end, None)
+            self._descend(ctx, chain_end)
         except _BudgetHit:
             ctx.stats.budget_exceeded = True
         return ctx
 
-    def _expand(self, ctx: _Ctx, level: int, parent, prev_normal) -> None:
-        if level > self.n:
-            ctx.record_leaf(parent)
-            return
-        anchors = ctx.path[level - 1 - self.K : level - 1]
-        try:
-            plane = hyperplane_through(anchors, reference=prev_normal)
-            ext = extend_positions(anchors, self.radii[level])
-        except DegenerateSpan as exc:
-            raise DegenerateSpan(
-                f"degenerate anchors while placing vertex {level}: {exc}") from exc
-        children = self._make_children(ctx, level, parent, plane, ext, anchors)
-        for node, point, side, ok in children:
-            if not ok:
-                continue
-            ctx.path[level - 1] = point
-            ctx.sides.append(side)
-            self._expand(ctx, level + 1, node, plane.normal)
-            ctx.sides.pop()
+    def _descend(self, ctx: _Ctx, chain_end) -> None:
+        """Depth-first placement of levels K+1..n below the seeded chain.
 
-    def _make_children(self, ctx: _Ctx, level: int, parent, plane, ext, anchors):
+        An explicit stack instead of recursion, so the depth is bounded only
+        by memory.  Feasible children are pushed side 1 first and so visited
+        side 0 first: the preorder of the recursive search, which fixes the
+        order of ``tree.levels`` and of the leaves.
+        """
+        K = self.K
+        # (level, node, point, side bit, normal to orient the next plane by)
+        stack = [(K, chain_end, None, None, None)]
+        while stack:
+            level, node, point, side, reference = stack.pop()
+            if level > K:
+                ctx.path[level - 1] = point
+                del ctx.sides[level - K - 1:]
+                ctx.sides.append(side)
+            if level == self.n:
+                ctx.record_leaf(node)
+                continue
+            anchors = ctx.path[level - K : level]
+            try:
+                ext = extend_positions(anchors, self.radii[level + 1], reference)
+            except DegenerateSpan as exc:
+                raise DegenerateSpan(
+                    f"degenerate anchors while placing vertex {level + 1}: {exc}") from exc
+            children = self._make_children(ctx, level + 1, node, ext, anchors)
+            for child, z, s, ok in reversed(children):
+                if ok:
+                    stack.append((level + 1, child, z, s, ext.plane.normal))
+
+    def _make_children(self, ctx: _Ctx, level: int, parent, ext, anchors):
         """Create the (up to two) children of a feasible node, side 0 first."""
         stats = ctx.stats
-        a, a0 = plane.normal, plane.offset
-
-        def side_of(z) -> int:
-            return 0 if float(a @ z) - a0 <= 0.0 else 1
-
         cand: list[tuple] = []
         if ext.kind is ExtensionKind.EMPTY:
             stats.empty_extensions += 1
         elif ext.kind is ExtensionKind.PAIR:
-            z1, z2 = ext.points
-            s1, s2 = side_of(z1), side_of(z2)
-            if s1 == s2:  # both numerically on the plane: order by signed offset
-                s1, s2 = (0, 1) if float(a @ z1) <= float(a @ z2) else (1, 0)
-            cand = [(s1, z1, None), (s2, z2, None)]
+            cand = [(0, ext.points[0], None), (1, ext.points[1], None)]
         else:
             stats.tangent_events += 1
             z = ext.points[0]
-            s = side_of(z)
+            s = ext.plane.side(z)
             cand = [(s, z, None), (1 - s, z.copy(), False)]
-        cand.sort(key=lambda t: t[0])
+            cand.sort(key=lambda t: t[0])
         self.budget.add(len(cand))
 
         out = []
@@ -271,8 +270,6 @@ class _Search:
                 res = float(np.max(np.abs(
                     np.linalg.norm(anchors - z, axis=1) - self.radii[level])))
                 stats.max_window_residual = max(stats.max_window_residual, res)
-                if res > WINDOW_RESIDUAL_ALARM:
-                    logger.warning("window residual %.3e at level %d", res, level)
                 stats.nodes_feasible += 1
             else:
                 stats.nodes_infeasible += 1
@@ -318,6 +315,9 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
         tree = BpTree(root=search.root, levels=ctx.levels, instance=inst)
     ctx.stats.wall_time = time.perf_counter() - started
     result = SolveResult(inst, solutions, codes, tree, ctx.stats, leaves)
+    if ctx.stats.max_window_residual > WINDOW_RESIDUAL_ALARM:
+        logger.warning("max window residual %.3e exceeds %.0e: numerical breakdown",
+                       ctx.stats.max_window_residual, WINDOW_RESIDUAL_ALARM)
     violations = ctx.stats.uniform_level_violations
     if violations:
         logger.warning(
@@ -356,7 +356,7 @@ def recompute_code(inst: Instance, embedding) -> tuple:
     prev_normal = None
     for level in range(K + 1, n + 1):
         plane = hyperplane_through(emb[level - 1 - K : level - 1], reference=prev_normal)
-        bits.append(0 if float(plane.normal @ emb[level - 1]) - plane.offset <= 0.0 else 1)
+        bits.append(plane.side(emb[level - 1]))
         prev_normal = plane.normal
     return tuple(bits)
 
@@ -391,28 +391,16 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
         for pos, want in enumerate(bits):
             level = K + 1 + pos
             anchors = path[level - 1 - K : level - 1]
-            plane = hyperplane_through(anchors, reference=prev_normal)
-            ext = extend_positions(anchors, radii[level])
-            if ext.kind is ExtensionKind.EMPTY:
+            ext = extend_positions(anchors, radii[level], prev_normal)
+            if ext.kind is ExtensionKind.PAIR:
+                z = ext.points[want]
+            elif ext.kind is ExtensionKind.TANGENT and ext.plane.side(ext.points[0]) == want:
+                z = ext.points[0]
+            else:
                 ok = False
                 break
-            offside = lambda z: 0 if float(plane.normal @ z) - plane.offset <= 0.0 else 1
-            if ext.kind is ExtensionKind.TANGENT:
-                z = ext.points[0]
-                if offside(z) != want:
-                    ok = False
-                    break
-            else:
-                z1, z2 = ext.points
-                if offside(z1) == want:
-                    z = z1
-                elif offside(z2) == want:
-                    z = z2
-                else:
-                    ok = False
-                    break
             path[level - 1] = z
-            prev_normal = plane.normal
+            prev_normal = ext.plane.normal
         if ok and not edge_violations(inst, path, atol, rtol):
             found.append(path)
     return found

@@ -4,7 +4,7 @@ import pytest
 
 from corpus import fixture_path
 from dgbp.cli import main, split_trailer
-from dgbp.instance import parse_instance
+from dgbp.instance import parse_instance, serialize_instance
 
 
 def read(path):
@@ -88,6 +88,13 @@ class TestSolve:
                    "--max-nodes", "8"])
         assert rc == 4
         assert "status: budget-exceeded" in read(out)
+
+    def test_deep_chain_exit_0(self, tmp_path, deep_chain):
+        path = tmp_path / "deep.txt"
+        path.write_text(serialize_instance(deep_chain))
+        out = tmp_path / "res.txt"
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        assert "solution_count: 2" in read(out)
 
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 3

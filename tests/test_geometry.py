@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dgbp.errors import DegenerateSpan, DimensionMismatch, NegativeDeterminant, SingularPivot
+from dgbp.errors import DegenerateSpan, DimensionMismatch, NegativeDeterminant
 from dgbp.geometry import (
+    EPS_NORMAL,
     ExtensionKind,
     Hyperplane,
     cayley_menger_volume,
@@ -215,34 +216,6 @@ class TestExtendPositions:
         with pytest.raises(DegenerateSpan):
             extend_positions([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [1, 1, 1])
 
-    def test_singular_forced_pivot(self):
-        # anchors differ only in x, so eliminating column 0 is singular
-        with pytest.raises(SingularPivot):
-            extend_positions([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], free_column=0)
-
-    def test_bad_free_column(self):
-        with pytest.raises(ValueError):
-            extend_positions([[0, 0], [1, 0]], [1, 1], free_column=7)
-
-    @pytest.mark.parametrize("K", [2, 3, 4])
-    def test_pivot_independence(self, K):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            anchors = random_anchors(rng, K, min_volume=1e-3)
-            target = rng.random(K)
-            radii = np.linalg.norm(anchors - target, axis=1)
-            results = []
-            for free in range(K):
-                try:
-                    ext = extend_positions(anchors, radii, free_column=free)
-                except SingularPivot:
-                    continue
-                assert ext.kind is ExtensionKind.PAIR
-                results.append(sorted(map(tuple, ext.points)))
-            assert len(results) >= 1
-            for other in results[1:]:
-                assert np.allclose(other, results[0], atol=1e-9)
-
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_pair_points_are_reflections_and_on_spheres(self, K):
         rng = np.random.default_rng(31)
@@ -262,3 +235,28 @@ class TestExtendPositions:
                 assert np.max(residual / np.maximum(radii, 1e-12)) <= 1e-9
             # the sampled target must be one of the two intersection points
             assert min(np.linalg.norm(z1 - target), np.linalg.norm(z2 - target)) <= 1e-9
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, derandomize=True)
+    def test_pair_carries_oriented_plane_in_side_order(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 5))
+        anchors = random_anchors(rng, K, min_volume=1e-3)
+        target = rng.random(K)
+        reference = rng.normal(size=K)
+        radii = np.linalg.norm(anchors - target, axis=1)
+        assume(np.all(radii > 1e-6))
+        ext = extend_positions(anchors, radii, reference)
+        assume(ext.kind is ExtensionKind.PAIR)
+        plane = ext.plane
+        fitted = hyperplane_through(anchors, reference)
+        assert np.array_equal(plane.normal, fitted.normal)
+        assert (plane.offset, plane.pivot_index) == (fitted.offset, fitted.pivot_index)
+        assert [plane.side(z) for z in ext.points] == [0, 1]
+        along = float(plane.normal @ reference)
+        if abs(along) > EPS_NORMAL:
+            assert along > 0.0
+        # the SVD null vector of the anchor differences, as an outside reference
+        null = np.array([1.0]) if K == 1 else np.linalg.svd(anchors[1:] - anchors[0])[2][-1]
+        assert min(np.linalg.norm(plane.normal - null),
+                   np.linalg.norm(plane.normal + null)) <= 1e-12

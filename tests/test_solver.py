@@ -1,3 +1,4 @@
+import logging
 from itertools import product
 
 import numpy as np
@@ -145,6 +146,15 @@ class TestSolveContracts:
         assert partial is not None
         assert partial.stats.budget_exceeded
         assert partial.solution_count < 8
+
+    def test_deep_chain_has_no_recursion_limit(self, deep_chain):
+        assert solve(deep_chain).solution_count == 2
+
+    def test_one_window_residual_warning_per_solve(self, chain_k2_n5, caplog, monkeypatch):
+        monkeypatch.setattr("dgbp.solver.WINDOW_RESIDUAL_ALARM", 0.0)
+        with caplog.at_level(logging.WARNING, logger="dgbp.solver"):
+            solve(chain_k2_n5)
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
 
     def test_trivial_instance_n_equals_k(self):
         inst = Instance(2, 2, {(1, 2): 1.0}, ((0.0, 0.0), (1.0, 0.0)))
