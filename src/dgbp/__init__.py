@@ -29,9 +29,11 @@ from .errors import (
 from .geometry import (
     ExtensionKind,
     ExtensionResult,
+    ExtensionStack,
     Hyperplane,
     cayley_menger_volume,
     extend_positions,
+    extend_stack,
     hyperplane_through,
     reflect,
 )
@@ -48,6 +50,7 @@ from .instance import (
     random_instance,
     regular_simplex,
     serialize_instance,
+    stacked_edge_violations,
     validate,
 )
 from .solver import (

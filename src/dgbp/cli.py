@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DgbpError, NodeBudgetExceeded, ParseError
+from .errors import DgbpError, InvalidInstance, NodeBudgetExceeded, ParseError
 from .instance import (
     counterexample,
-    edge_violations,
     parse_instance,
     random_instance,
     serialize_instance,
+    stacked_edge_violations,
     validate,
 )
 from .solver import (
@@ -214,15 +214,14 @@ def cmd_validate(args, command: str) -> int:
 def cmd_solve(args, command: str) -> int:
     started = time.perf_counter()
     inst = parse_instance(_read(args.instance))
-    report = validate(inst)
-    if not report.ok:
-        _say(f"invalid instance: {report.summary()}")
-        return EXIT_INVALID
     opts = SolverOptions(atol=args.atol, rtol=args.rtol, keep_tree=args.keep_tree,
                          max_nodes=args.max_nodes)
     budget_hit = False
     try:
         result = solve(inst, opts)
+    except InvalidInstance as exc:
+        _say(f"invalid instance: {exc.report.summary()}")
+        return EXIT_INVALID
     except NodeBudgetExceeded as exc:
         result = exc.result
         budget_hit = True
@@ -265,15 +264,17 @@ def cmd_verify(args, command: str) -> int:
     inst = parse_instance(_read(args.instance))
     result = parse_result(_read(args.result))
     failures = 0
-    for i, emb in enumerate(result.solutions):
-        if len(emb) != inst.n or emb.shape[1] != inst.dimension:
+    # parse_result gives every solution the same shape.
+    if result.solutions and result.solutions[0].shape != (inst.n, inst.dimension):
+        for i in range(result.solution_count):
             _say(f"solution {i}: shape mismatch with instance")
-            failures += 1
-            continue
-        bad = edge_violations(inst, emb, args.atol, args.rtol)
-        for (u, v), res in bad:
-            _say(f"solution {i}: edge {{{u}, {v}}} off by {res:.3e}")
-        failures += len(bad)
+        failures += result.solution_count
+    elif result.solutions:
+        stack = np.asarray(result.solutions)
+        for i, bad in enumerate(stacked_edge_violations(inst, stack, args.atol, args.rtol)):
+            for (u, v), res in bad:
+                _say(f"solution {i}: edge {{{u}, {v}}} off by {res:.3e}")
+            failures += len(bad)
     if len(set(result.branch_codes)) != len(result.branch_codes):
         _say("duplicate branch codes in result")
         failures += 1

@@ -32,7 +32,11 @@ class GenericityFailure(DgbpError, RuntimeError):
 
 
 class InvalidInstance(DgbpError, ValueError):
-    """An instance fails validation and cannot be solved."""
+    """An instance fails validation and cannot be solved; the report is attached."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NodeBudgetExceeded(DgbpError, RuntimeError):

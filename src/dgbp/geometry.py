@@ -5,7 +5,9 @@ one point per row, ordered by vertex rank.  These are the building blocks of
 the vertex-placement step: the simplex-volume test that guards against
 degenerate anchors, the hyperplane through K anchor points, the mirror image
 across it, and the two-point intersection of the K spheres centred at the
-anchors.
+anchors.  Placement works on stacks of F anchor sets at once
+(:func:`extend_stack`); :func:`extend_positions` and
+:func:`hyperplane_through` are its batch-of-one forms.
 
 All functions are pure and never mutate their arguments.
 """
@@ -93,71 +95,91 @@ class Hyperplane:
         return 0 if float(self.normal @ point) - self.offset <= 0.0 else 1
 
 
-def _canonical_sign(a: np.ndarray) -> np.ndarray:
-    """Flip ``a`` so its first nonzero component is positive."""
-    for value in a:
-        if abs(value) > EPS_NORMAL:
-            return a if value > 0 else -a
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def _cofactor_layout(K: int) -> tuple:
-    """Row j lists every column of a (K-1, K) matrix but j; signs are (-1)**j."""
-    kept = np.arange(K - 1)
-    kept = kept + (kept >= np.arange(K)[:, None])
-    signs = (-1.0) ** np.arange(K)
-    kept.flags.writeable = signs.flags.writeable = False
-    return kept, signs
+    """Column tables for a K-column elimination, indexed by the deleted column.
 
-
-def _anchor_plane(X: np.ndarray, reference) -> tuple[Hyperplane, np.ndarray]:
-    """Oriented hyperplane through the K rows of ``X``, with its raw normal.
-
-    The raw normal holds the signed maximal minors of the anchor differences
-    ``X[:-1] - X[-1]``: entry j is (-1)**j times the minor left by deleting
-    column j, the generalized cross product of the K-1 rows ((1,) when
-    K = 1).  By Cauchy-Binet its length is the Gram volume of the rows; when
-    that is negligible against the product of the row lengths the anchors
-    are degenerate and DegenerateSpan is raised.
+    ``kept[j]`` lists every column of a (K-1, K) matrix but j and ``signs[j]``
+    is (-1)**j; ``slots[j]`` puts values listed as the kept columns and then
+    column j back into column order.
     """
-    K = X.shape[1]
-    diffs = X[:-1] - X[-1]
-    kept, signs = _cofactor_layout(K)
-    minors = signs * np.linalg.det(diffs[:, kept].transpose(1, 0, 2))
-    length = math.hypot(*minors.tolist())
-    row_scale = math.prod(max(math.hypot(*row), 1e-300) for row in diffs.tolist())
-    if length <= EPS_RANK * row_scale:
+    cols = np.arange(K)
+    kept = np.arange(K - 1)
+    kept = kept + (kept >= cols[:, None])
+    signs = (-1.0) ** cols
+    slots = np.argsort(np.column_stack([kept, cols]), axis=1)
+    for table in (kept, signs, slots):
+        table.flags.writeable = False
+    return kept, signs, slots
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a[..., :] @ b[..., :]`` over the last axis.
+
+    Bit for bit the 1-D product ``a[f] @ b[f]`` of each pair of rows, which
+    elementwise sums and ``einsum`` are not.  BLAS takes another kernel for
+    rows that are not contiguous, and from K = 4 on its last bit differs, so
+    rows must be contiguous wherever the 1-D operands they stand for were.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _anchor_planes(X: np.ndarray, references) -> tuple:
+    """Oriented hyperplanes through the K rows of each ``X[f]``, shape (F, K, K).
+
+    Returns ``(normals, offsets, pivots, minors)``.  The raw normal of row f
+    holds the signed maximal minors of the anchor differences
+    ``X[f, :-1] - X[f, -1]``: entry j is (-1)**j times the minor left by
+    deleting column j, the generalized cross product of the K-1 rows ((1,)
+    when K = 1).  By Cauchy-Binet its length is the Gram volume of the rows;
+    when that is negligible against the product of the row lengths the
+    anchors are degenerate and DegenerateSpan is raised.  ``references`` is
+    (F, K) or None; see :func:`hyperplane_through` for the orientation rule.
+    """
+    F, K = X.shape[0], X.shape[2]
+    diffs = X[:, :-1] - X[:, -1:]
+    kept, signs, _ = _cofactor_layout(K)
+    # C order keeps the normals' rows contiguous for row_dots.
+    minors = signs * np.linalg.det(np.ascontiguousarray(diffs[:, :, kept].transpose(0, 2, 1, 3)))
+    lengths = np.array([math.hypot(*row) for row in minors.tolist()])
+    scales = np.maximum(np.sqrt((diffs * diffs).sum(-1)), 1e-300).prod(-1)
+    if (lengths <= EPS_RANK * scales).any():
         raise DegenerateSpan("anchor points do not span a hyperplane")
-    normal = minors / length
-    if reference is not None:
-        along = float(normal @ np.asarray(reference, dtype=float))
-        if along < -EPS_NORMAL:
-            normal = -normal
-        elif abs(along) <= EPS_NORMAL:
-            normal = _canonical_sign(normal)
-    else:
-        normal = _canonical_sign(normal)
-    offset = float((X @ normal).sum()) / K
-    pivot = int(np.argmax(np.abs(normal) > EPS_NORMAL))
-    return Hyperplane(normal=normal, offset=offset, pivot_index=pivot), minors
+    normals = minors / lengths[:, None]
+    # A unit normal always has a component above EPS_NORMAL: the pivot.
+    pivots = (np.abs(normals) > EPS_NORMAL).argmax(1)
+    flip = normals[np.arange(F), pivots] < 0.0
+    if references is not None:
+        along = row_dots(normals, np.asarray(references, dtype=float))
+        flip = (along < -EPS_NORMAL) | ((np.abs(along) <= EPS_NORMAL) & flip)
+    normals = np.where(flip[:, None], -normals, normals)
+    offsets = np.matmul(X, normals[:, :, None])[:, :, 0].sum(-1) / K
+    return normals, offsets, pivots, minors
+
+
+def _square(X, ndim: int) -> np.ndarray:
+    """``X`` as a float array of ``ndim`` axes whose last two are K, K."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != ndim or X.shape[-2] != X.shape[-1]:
+        raise DimensionMismatch(f"expected K anchors in R^K, got array of shape {X.shape}")
+    return X
 
 
 def hyperplane_through(points, reference=None) -> Hyperplane:
     """Oriented hyperplane through K points of R^K.
 
-    The normal is the normalised vector of signed anchor minors, the same
-    one :func:`extend_positions` returns as ``ext.plane``; DegenerateSpan is
-    raised when the points do not affinely span a (K-1)-flat.  Orientation:
-    the normal is flipped, if necessary, so that ``normal . reference >= 0``;
-    when no reference is given (or the dot product vanishes) the first
-    nonzero component of the normal is made positive instead, which keeps
-    the labelling deterministic.
+    The batch-of-one form of the plane :func:`extend_stack` computes: the
+    normal is the normalised vector of signed anchor minors, and
+    DegenerateSpan is raised when the points do not affinely span a
+    (K-1)-flat.  Orientation: the normal is flipped, if necessary, so that
+    ``normal . reference >= 0``; when no reference is given (or the dot
+    product vanishes) the first nonzero component of the normal is made
+    positive instead, which keeps the labelling deterministic.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionMismatch(f"expected K points of R^K, got array of shape {P.shape}")
-    return _anchor_plane(P, reference)[0]
+    P = _square(points, 2)
+    refs = None if reference is None else np.asarray(reference, dtype=float)[None]
+    normals, offsets, pivots, _ = _anchor_planes(P[None], refs)
+    return Hyperplane(normals[0], float(offsets[0]), int(pivots[0]))
 
 
 def reflect(plane: Hyperplane, point) -> np.ndarray:
@@ -183,6 +205,11 @@ class ExtensionKind(Enum):
     PAIR = "pair"
 
 
+# ExtensionStack.kind codes: the index into ExtensionKind, which is also the
+# number of distinct intersection points.
+_EMPTY, _TANGENT, _PAIR = range(3)
+
+
 @dataclass(frozen=True)
 class ExtensionResult:
     """Outcome of intersecting the K anchor spheres.
@@ -200,67 +227,110 @@ class ExtensionResult:
     plane: Hyperplane
 
 
-def extend_positions(anchors, radii, reference=None) -> ExtensionResult:
-    """Intersect the K spheres ``|z - anchor_u| = radius_u`` in R^K.
+@dataclass(frozen=True)
+class ExtensionStack:
+    """Sphere intersections of F anchor sets, one row each.
 
-    This is the one geometry call per placed vertex.  The signed maximal
-    minors of the anchor differences give both the oriented anchor
-    hyperplane (see :func:`hyperplane_through`, whose ``reference`` rule
-    applies) and the elimination pivot: subtracting the squared sphere
-    equation of the last anchor (the highest ranked one) from the others
-    leaves K-1 linear equations, which are solved for every coordinate but
-    the one with the largest minor, reducing the system to one quadratic in
-    that coordinate.  Its discriminant decides between zero, one (tangent)
-    and two intersection points.  The two points of a PAIR come back in side
-    order: the one with the smaller signed offset from the plane first, the
-    first root on a tie.
+    ``kind[f]`` indexes ``list(ExtensionKind)``.  ``points[f, s]`` is the placement
+    with side bit ``s`` and ``placed[f, s]`` says whether there is one: both
+    sides of a PAIR, the one side of the plane a TANGENT point falls on (it
+    fills both slots), neither side when EMPTY (those points are NaN).
+    ``normals``, ``offsets`` and ``pivots`` are the oriented anchor planes,
+    ``discriminants`` the raw quadratic discriminants.
     """
-    X = np.asarray(anchors, dtype=float)
+
+    kind: np.ndarray
+    points: np.ndarray
+    placed: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    pivots: np.ndarray
+    discriminants: np.ndarray
+
+
+def extend_stack(anchors, radii, references=None) -> ExtensionStack:
+    """Intersect the K spheres ``|z - anchors[f, u]| = radii[u]`` for every f.
+
+    ``anchors`` is (F, K, K), ``radii`` (K,) and shared by all rows,
+    ``references`` (F, K) or None.  This is the one placement primitive of
+    the package; :func:`extend_positions` and :func:`hyperplane_through` are
+    its batch-of-one forms, and each row comes out bit for bit as a
+    batch-of-one call on that row would give it.  The signed maximal minors
+    of the anchor differences give both the oriented anchor hyperplane (see
+    :func:`hyperplane_through`, whose ``reference`` rule applies) and the
+    elimination pivot: subtracting the squared sphere equation of the last
+    anchor (the highest ranked one) from the others leaves K-1 linear
+    equations, which are solved for every coordinate but the one with the
+    largest minor, reducing the system to one quadratic in that coordinate.
+    Its discriminant decides between zero, one (tangent) and two
+    intersection points.  The two points of a PAIR come in side order: the
+    one with the smaller signed offset from the plane first, the first root
+    on a tie.  Raises DegenerateSpan if any row's anchors are degenerate.
+    """
+    X = _square(anchors, 3)
     r = np.asarray(radii, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"expected K anchors in R^K, got array of shape {X.shape}")
-    K = X.shape[1]
+    F, K = X.shape[0], X.shape[2]
     if r.shape != (K,):
         raise DimensionMismatch(f"expected {K} radii, got array of shape {r.shape}")
-    if np.any(r <= 0.0):
+    if (r <= 0.0).any():
         raise ValueError("radii must be positive")
-    plane, minors = _anchor_plane(X, reference)
+    normals, offsets, pivots, minors = _anchor_planes(X, references)
 
-    w = X[-1]
+    rows = np.arange(F)
+    w = X[:, -1]
     rw = float(r[-1])
-    A = 2.0 * (X[:-1] - w)
-    b = np.sum(X[:-1] ** 2, axis=1) - float(w @ w) - r[:-1] ** 2 + rw**2
+    A = 2.0 * (X[:, :-1] - w[:, None])
+    b = np.sum(X[:, :-1] ** 2, axis=2) - row_dots(w, w)[:, None] - r[:-1] ** 2 + rw**2
     # The largest minor is at least |minors|/sqrt(K), which the volume test
-    # in _anchor_plane keeps away from zero, so this block is regular.
-    free = int(np.argmax(np.abs(minors)))
-    basis = _cofactor_layout(K)[0][free]
-    solved = np.linalg.solve(A[:, basis], np.column_stack([b, A[:, free]]))
-    part = solved[:, 0]
-    slope = solved[:, 1]
-    diff = part - w[basis]
-    wf = float(w[free])
-    qa = float(slope @ slope) + 1.0
-    qb = -2.0 * (float(slope @ diff) + wf)
-    qc = float(diff @ diff) + wf**2 - rw**2
+    # in _anchor_planes keeps away from zero, so this block is regular.
+    free = np.abs(minors).argmax(1)
+    kept, _, slots = _cofactor_layout(K)
+    # x[:, ..., kept][rows, ..., free] keeps, in row f, every column but free[f].
+    solved = np.linalg.solve(A[:, :, kept][rows, :, free],
+                             np.stack([b, A[rows, :, free]], axis=-1))
+    part = solved[..., 0]
+    slope = solved[..., 1]
+    diff = part - w[:, kept][rows, free]
+    wf = w[rows, free]
+    qa = row_dots(slope, slope) + 1.0
+    qb = -2.0 * (row_dots(slope, diff) + wf)
+    # Python's float power, not numpy's square: they differ in the last bit.
+    qc = row_dots(diff, diff) + np.array([x**2 for x in wf.tolist()]) - rw**2
 
     disc = qb * qb - 4.0 * qa * qc
     eps_disc = DISC_CLAMP * float(np.max(r)) ** 2
+    kind = np.where(disc < -eps_disc, _EMPTY, np.where(disc <= eps_disc, _TANGENT, _PAIR))
+    pair = kind == _PAIR
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(disc)
+        # Stable quadratic formula: avoid cancellation between -qb and the root.
+        shifted = np.where(qb != 0.0, -0.5 * (qb + np.copysign(root, qb)), -0.5 * root)
+        z0 = np.where(pair, shifted / qa, -qb / (2.0 * qa))
+        zf = np.stack([z0, np.where(pair, qc / shifted, z0)], axis=1)
+    zf[kind == _EMPTY] = np.nan
+    coords = np.concatenate([part[:, None, :] - slope[:, None, :] * zf[:, :, None],
+                             zf[:, :, None]], axis=2)
+    points = np.ascontiguousarray(coords[:, :, slots][rows, :, free])  # see row_dots
+    along = row_dots(normals[:, None, :], points)
+    swap = pair & (along[:, 0] > along[:, 1])
+    points[swap] = points[swap, ::-1]
+    upper = along[:, 0] - offsets > 0.0
+    placed = np.stack([pair | ((kind == _TANGENT) & ~upper),
+                       pair | ((kind == _TANGENT) & upper)], axis=1)
+    return ExtensionStack(kind, points, placed, normals, offsets, pivots, disc)
 
-    def assemble(zf: float) -> np.ndarray:
-        z = np.empty(K)
-        z[basis] = part - slope * zf
-        z[free] = zf
-        return z
 
-    if disc < -eps_disc:
-        return ExtensionResult(ExtensionKind.EMPTY, (), disc, plane)
-    if disc <= eps_disc:
-        return ExtensionResult(
-            ExtensionKind.TANGENT, (assemble(-qb / (2.0 * qa)),), disc, plane)
-    root = math.sqrt(disc)
-    # Stable quadratic formula: avoid cancellation between -qb and the root.
-    shifted = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else -0.5 * root
-    pair = (assemble(shifted / qa), assemble(qc / shifted))
-    if float(plane.normal @ pair[0]) > float(plane.normal @ pair[1]):
-        pair = pair[::-1]
-    return ExtensionResult(ExtensionKind.PAIR, pair, disc, plane)
+def extend_positions(anchors, radii, reference=None) -> ExtensionResult:
+    """Intersect the K spheres ``|z - anchor_u| = radius_u`` in R^K.
+
+    The batch-of-one form of :func:`extend_stack`, which describes the
+    method.  ``points`` holds both placements of a PAIR, side 0 first, the
+    single point of a TANGENT, and nothing when EMPTY.
+    """
+    X = _square(anchors, 2)
+    refs = None if reference is None else np.asarray(reference, dtype=float)[None]
+    ext = extend_stack(X[None], radii, refs)
+    code = int(ext.kind[0])
+    plane = Hyperplane(ext.normals[0], float(ext.offsets[0]), int(ext.pivots[0]))
+    return ExtensionResult(list(ExtensionKind)[code], tuple(ext.points[0, :code]),
+                           float(ext.discriminants[0]), plane)

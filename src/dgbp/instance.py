@@ -13,6 +13,7 @@ Instances are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GenericityFailure, NegativeDeterminant, ParseError
-from .geometry import cayley_menger_volume
+from .geometry import cayley_menger_volume, row_dots
 
 #: Windows whose simplex volume falls below this are rejected when sampling
 #: random instances, turning "generic position" into a constructive bound.
@@ -70,7 +71,16 @@ class Instance:
 
     def predecessors(self, v: int) -> list[int]:
         """Adjacent predecessors of ``v`` in rank order."""
-        return [u for u in range(1, v) if self.has_edge(u, v)]
+        return list(self._predecessor_lists.get(v, ()))
+
+    @functools.cached_property
+    def _predecessor_lists(self) -> dict:
+        """Every vertex's adjacent predecessors, from one walk of the edges."""
+        lists: dict = {}
+        for u, v in sorted(self.edges):
+            if 1 <= u < v:
+                lists.setdefault(v, []).append(u)
+        return lists
 
     def initial_points(self) -> np.ndarray:
         return np.asarray(self.initial_embedding, dtype=float)
@@ -165,10 +175,10 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
                         f"edge {{{u}, {v}}}: embedded distance off by {res:.3e}"))
 
     for v in range(K + 1, n + 1):
-        if len(inst.predecessors(v)) < K:
+        degree = len(inst.predecessors(v))
+        if degree < K:
             out.append(Violation(ViolationCode.TOO_FEW_PREDECESSORS, v,
-                                 f"vertex {v} has {len(inst.predecessors(v))} adjacent "
-                                 f"predecessors, needs {K}"))
+                                 f"vertex {v} has {degree} adjacent predecessors, needs {K}"))
         window = list(inst.window(v))
         clique_ok = True
         for u in window:
@@ -287,13 +297,33 @@ def random_instance(K: int, n: int, pruning_prob: float, seed: int):
 
 
 def edge_violations(inst: Instance, embedding, atol: float = 1e-9, rtol: float = 1e-9):
-    """Edges whose distance the embedding misses beyond atol + rtol * d."""
-    emb = np.asarray(embedding, dtype=float)
-    out = []
-    for (u, v), d in sorted(inst.edges.items()):
-        res = abs(float(np.linalg.norm(emb[u - 1] - emb[v - 1])) - d)
-        if res > atol + rtol * d:
-            out.append(((u, v), res))
+    """Edges whose distance the embedding misses beyond atol + rtol * d.
+
+    A list of ``((u, v), residual)`` in edge order; the one-embedding form
+    of :func:`stacked_edge_violations`.
+    """
+    return stacked_edge_violations(inst, np.asarray(embedding, dtype=float)[None], atol, rtol)[0]
+
+
+def stacked_edge_violations(inst: Instance, embeddings, atol: float = 1e-9,
+                            rtol: float = 1e-9) -> list:
+    """:func:`edge_violations` of every embedding of an (S, n, K) stack.
+
+    All S * |E| residuals come from one numpy pass; each is bit for bit the
+    residual ``|norm(emb[u] - emb[v]) - d|`` of a 1-D computation.
+    """
+    emb = np.asarray(embeddings, dtype=float)
+    out: list = [[] for _ in range(len(emb))]
+    edges = sorted(inst.edges)
+    if not edges or not len(emb):
+        return out
+    ends = np.array(edges) - 1
+    d = np.array([inst.edges[e] for e in edges])
+    delta = emb[:, ends[:, 0]] - emb[:, ends[:, 1]]
+    res = np.abs(np.sqrt(row_dots(delta, delta)) - d)
+    hits, cols = np.nonzero(res > atol + rtol * d)
+    for s, j, value in zip(hits.tolist(), cols.tolist(), res[hits, cols].tolist()):
+        out[s].append((edges[j], value))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Depth-first branch-and-prune enumeration of all embeddings of an instance.
+"""Branch-and-prune enumeration of all embeddings of an instance.
 
 The search tree places one vertex per level.  Levels 1..K are seeded from the
 initial embedding as a chain of feasible side-0 nodes (each with an
@@ -7,16 +7,17 @@ window anchors define a hyperplane and a two-point sphere intersection; each
 candidate is kept unless some pruning edge (an edge reaching in front of the
 window) rejects it.  A node's *side* bit records which half-space of the
 oriented anchor hyperplane its point fell in, with the orientation chained so
-that consecutive normals have nonnegative dot product.
+that consecutive normals have nonnegative dot product.  All nodes of a level
+share their radii and pruning edges, so the search expands whole batches of
+same-level nodes at once, depth first over batches of at most BATCH_ROWS.
 
-Also provides an independent exhaustive oracle (``brute_force``) that tries
-every side-bit sequence from scratch and re-checks every edge, and plain
-serialization of results.
+Also provides an independent exhaustive oracle (``brute_force``) that
+expands every side-bit sequence without pruning and then checks every edge,
+and plain serialization of results.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -31,8 +32,8 @@ from .errors import (
     ParseError,
     TreeDiscarded,
 )
-from .geometry import ExtensionKind, extend_positions, hyperplane_through
-from .instance import Instance, edge_violations, validate
+from .geometry import extend_stack, hyperplane_through, row_dots
+from .instance import Instance, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
 
@@ -107,9 +108,6 @@ class SolveStats:
         return tuple(sorted(
             lvl for lvl, hist in self.child_hist.items() if hist[1] and hist[2]))
 
-    def bump(self, level: int, feasible_children: int) -> None:
-        self.child_hist.setdefault(level, [0, 0, 0])[feasible_children] += 1
-
 
 @dataclass(eq=False)
 class SolveResult:
@@ -132,198 +130,193 @@ class SolveResult:
         return len(self.solutions)
 
 
-class _BudgetHit(Exception):
-    pass
+#: Most rows one batch of the search, or one call of the placement
+#: primitive, may hold; a wider level is expanded in depth-first chunks.
+BATCH_ROWS = 1024
 
 
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.count = 0
+class _Search:
+    """Depth-first walk over batches of equal-level tree nodes.
 
-    def add(self, k: int) -> None:
-        self.count += k
-        if self.limit is not None and self.count > self.limit:
-            raise _BudgetHit()
+    A batch is ``(level, paths, codes, references, nodes)``: row f holds the
+    placed points ``paths[f, :level]`` of one feasible node, its side bits
+    ``codes[f, :level]``, the normal its children's plane is oriented by and,
+    with ``keep_tree``, its BpNode.  All rows of a level share radii and
+    pruning edges, so one batch is expanded by one :func:`extend_stack`
+    call, one prune check over the level's pruning edges and one window
+    residual check.  Feasible children, in row order and side 0 first, are
+    cut into chunks of at most BATCH_ROWS rows, pushed last first.  Batches
+    at one level are thus expanded in lexicographic code order, which is
+    the preorder of a node-by-node depth-first search: leaves come out
+    sorted by code, and ``tree.levels`` keeps that preorder.
+    """
 
-
-class _Ctx:
-    """Mutable search state."""
-
-    __slots__ = ("K", "path", "sides", "solutions", "codes", "leaves", "levels", "stats")
-
-    def __init__(self, n: int, K: int):
-        self.K = K
-        self.path = np.zeros((n, K))
-        self.sides: list[int] = []
+    def __init__(self, inst: Instance, opts: SolverOptions):
+        self.opts = opts
+        self.K = K = inst.dimension
+        self.n = inst.n
+        self.x0 = inst.initial_points()
+        self.radii = {
+            v: np.array([inst.edges[(u, v)] for u in inst.window(v)])
+            for v in range(K + 1, self.n + 1)
+        }
+        self.prune = {}
+        for v in range(K + 1, self.n + 1):
+            back = [u for u in inst.predecessors(v) if u < v - K]
+            self.prune[v] = (np.array(back, dtype=int) - 1,
+                             np.array([inst.edges[(u, v)] for u in back]))
+        self.keep_tree = opts.keep_tree
+        self.created = 0
+        self.root: BpNode | None = None
         self.solutions: list[np.ndarray] = []
         self.codes: list[tuple] = []
         self.leaves: list = []
         self.levels: dict = {}
         self.stats = SolveStats()
 
-    def record_leaf(self, node) -> None:
-        self.solutions.append(self.path.copy())
-        self.codes.append((0,) * self.K + tuple(self.sides))
-        self.leaves.append(node)
-
-
-class _Search:
-    def __init__(self, inst: Instance, opts: SolverOptions):
-        self.inst = inst
-        self.opts = opts
-        self.K = inst.dimension
-        self.n = inst.n
-        self.x0 = inst.initial_points()
-        self.radii = {
-            v: np.array([inst.edges[(u, v)] for u in inst.window(v)])
-            for v in range(self.K + 1, self.n + 1)
-        }
-        self.prune = {
-            v: [(u - 1, inst.edges[(u, v)])
-                for u in range(1, v - self.K) if (u, v) in inst.edges]
-            for v in range(self.K + 1, self.n + 1)
-        }
-        self.budget = _Budget(opts.max_nodes)
-        self.keep_tree = opts.keep_tree
-        self.root: BpNode | None = None
-
-    def run(self) -> _Ctx:
-        ctx = _Ctx(self.n, self.K)
-        ctx.path[: self.K] = self.x0
-        chain_end = None
+    def run(self) -> None:
+        K, n, stats = self.K, self.n, self.stats
+        node = None
         if self.keep_tree:
-            self.root = BpNode(0, None, 0, True, None)
-            prev = self.root
-            for lvl in range(1, self.K + 1):
+            self.root = node = BpNode(0, None, 0, True, None)
+            for lvl in range(1, K + 1):
                 point = self.x0[lvl - 1].copy()
-                live = BpNode(lvl, point, 0, True, prev)
-                dead = BpNode(lvl, point.copy(), 1, False, prev)
-                prev.children = [live, dead]
-                ctx.levels[lvl] = [live, dead]
-                prev = live
-            chain_end = prev
-        ctx.stats.nodes_feasible += self.K
-        ctx.stats.nodes_infeasible += self.K
-        for lvl in range(1, self.K):
-            ctx.stats.bump(lvl, 1)
+                live = BpNode(lvl, point, 0, True, node)
+                dead = BpNode(lvl, point.copy(), 1, False, node)
+                node.children = [live, dead]
+                self.levels[lvl] = [live, dead]
+                node = live
+        stats.nodes_feasible += K
+        stats.nodes_infeasible += K
+        for lvl in range(1, K):
+            stats.child_hist[lvl] = [0, 1, 0]
+        paths = np.zeros((1, n, K))
+        paths[0, :K] = self.x0
+        self.created += 2 * K
+        stack = [(K, paths, np.zeros((1, n), dtype=np.int8), None,
+                  None if node is None else [node])]
+        while stack and self._within_budget():
+            self._expand(stack, *stack.pop())
+        stats.budget_exceeded = not self._within_budget()
+
+    def _within_budget(self) -> bool:
+        return self.opts.max_nodes is None or self.created <= self.opts.max_nodes
+
+    def _expand(self, stack, level, paths, codes, references, nodes) -> None:
+        K, stats = self.K, self.stats
+        if level == self.n:
+            self.solutions.extend(paths)
+            self.codes.extend(map(tuple, codes.tolist()))
+            if nodes is not None:
+                self.leaves.extend(nodes)
+            return
+        anchors = paths[:, level - K : level]
+        radii = self.radii[level + 1]
         try:
-            self.budget.add(2 * self.K)
-            self._descend(ctx, chain_end)
-        except _BudgetHit:
-            ctx.stats.budget_exceeded = True
-        return ctx
+            ext = extend_stack(anchors, radii, references)
+        except DegenerateSpan as exc:
+            raise DegenerateSpan(
+                f"degenerate anchors while placing vertex {level + 1}: {exc}") from exc
+        # The budget counts both children of every non-empty row, the same
+        # nodes the tree holds; it is checked before they are created.
+        empty, tangent, pair = np.bincount(ext.kind, minlength=3).tolist()
+        created = 2 * (tangent + pair)
+        self.created += created
+        if not self._within_budget():
+            return
+        stats.empty_extensions += empty
+        stats.tangent_events += tangent
 
-    def _descend(self, ctx: _Ctx, chain_end) -> None:
-        """Depth-first placement of levels K+1..n below the seeded chain.
+        rows, sides = np.nonzero(ext.placed)
+        z = ext.points[rows, sides]
+        back, dist = self.prune[level + 1]
+        ok = np.ones(len(rows), dtype=bool)
+        if len(back):
+            delta = paths[rows[:, None], back] - z[:, None]
+            miss = np.abs(np.sqrt(row_dots(delta, delta)) - dist)
+            ok = ~(miss > self.opts.atol + self.opts.rtol * dist).any(1)
+            stats.candidates_pruned += int((~ok).sum())
+        rows, sides, z = rows[ok], sides[ok], z[ok]
+        if len(rows):
+            gap = anchors[rows] - z[:, None]
+            res = np.abs(np.sqrt((gap * gap).sum(-1)) - radii).max()
+            stats.max_window_residual = max(stats.max_window_residual, float(res))
+        stats.nodes_feasible += len(rows)
+        stats.nodes_infeasible += created - len(rows)
+        hist = stats.child_hist.setdefault(level, [0, 0, 0])
+        per_row = np.bincount(rows, minlength=len(paths))
+        for count, parents in enumerate(np.bincount(per_row, minlength=3).tolist()):
+            hist[count] += parents
 
-        An explicit stack instead of recursion, so the depth is bounded only
-        by memory.  Feasible children are pushed side 1 first and so visited
-        side 0 first: the preorder of the recursive search, which fixes the
-        order of ``tree.levels`` and of the leaves.
-        """
-        K = self.K
-        # (level, node, point, side bit, normal to orient the next plane by)
-        stack = [(K, chain_end, None, None, None)]
-        while stack:
-            level, node, point, side, reference = stack.pop()
-            if level > K:
-                ctx.path[level - 1] = point
-                del ctx.sides[level - K - 1:]
-                ctx.sides.append(side)
-            if level == self.n:
-                ctx.record_leaf(node)
-                continue
-            anchors = ctx.path[level - K : level]
-            try:
-                ext = extend_positions(anchors, self.radii[level + 1], reference)
-            except DegenerateSpan as exc:
-                raise DegenerateSpan(
-                    f"degenerate anchors while placing vertex {level + 1}: {exc}") from exc
-            children = self._make_children(ctx, level + 1, node, ext, anchors)
-            for child, z, s, ok in reversed(children):
-                if ok:
-                    stack.append((level + 1, child, z, s, ext.plane.normal))
-
-    def _make_children(self, ctx: _Ctx, level: int, parent, ext, anchors):
-        """Create the (up to two) children of a feasible node, side 0 first."""
-        stats = ctx.stats
-        cand: list[tuple] = []
-        if ext.kind is ExtensionKind.EMPTY:
-            stats.empty_extensions += 1
-        elif ext.kind is ExtensionKind.PAIR:
-            cand = [(0, ext.points[0], None), (1, ext.points[1], None)]
+        children = None
+        if self.keep_tree:
+            children = self._grow_tree(level + 1, nodes, ext, rows, sides)
+        if np.array_equal(rows, np.arange(len(paths))):
+            # One child per row, in row order: extend the batch in place.
+            paths[:, level] = z
+            codes[:, level] = sides
         else:
-            stats.tangent_events += 1
-            z = ext.points[0]
-            s = ext.plane.side(z)
-            cand = [(s, z, None), (1 - s, z.copy(), False)]
-            cand.sort(key=lambda t: t[0])
-        self.budget.add(len(cand))
+            paths = paths[rows]
+            paths[:, level] = z
+            codes = codes[rows]
+            codes[:, level] = sides
+        normals = ext.normals[rows]
+        for start in reversed(range(0, len(rows), BATCH_ROWS)):
+            chunk = slice(start, start + BATCH_ROWS)
+            stack.append((level + 1, paths[chunk], codes[chunk], normals[chunk],
+                          None if children is None else children[chunk]))
 
-        out = []
-        feasible_children = 0
-        for side, z, forced in cand:
-            ok = self._prune_ok(ctx, level, z) if forced is None else forced
-            if ok:
-                feasible_children += 1
-                res = float(np.max(np.abs(
-                    np.linalg.norm(anchors - z, axis=1) - self.radii[level])))
-                stats.max_window_residual = max(stats.max_window_residual, res)
-                stats.nodes_feasible += 1
-            else:
-                stats.nodes_infeasible += 1
-            node = None
-            if self.keep_tree:
-                node = BpNode(level, np.array(z), side, ok, parent)
+    def _grow_tree(self, level, parents, ext, rows, sides) -> list:
+        """Create both children of every non-empty row; return the feasible ones."""
+        feasible = np.zeros(ext.placed.shape, dtype=bool)
+        feasible[rows, sides] = True
+        created = self.levels.setdefault(level, [])
+        live = []
+        for f in np.flatnonzero(ext.placed.any(1)).tolist():
+            parent = parents[f]
+            for side in (0, 1):
+                ok = bool(feasible[f, side])
+                node = BpNode(level, ext.points[f, side].copy(), side, ok, parent)
                 parent.children.append(node)
-                ctx.levels.setdefault(level, []).append(node)
-            out.append((node, z, side, ok))
-        stats.bump(level - 1, feasible_children)
-        return out
-
-    def _prune_ok(self, ctx: _Ctx, level: int, z) -> bool:
-        for row, d in self.prune[level]:
-            dist = float(np.linalg.norm(ctx.path[row] - z))
-            if abs(dist - d) > self.opts.atol + self.opts.rtol * d:
-                ctx.stats.candidates_pruned += 1
-                return False
-        return True
+                created.append(node)
+                if ok:
+                    live.append(node)
+        return live
 
 
 def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     """Enumerate every embedding of a valid instance.
 
-    Depth-first, side-0 child first; solutions come back sorted by their
-    branch code, so output is deterministic.  Raises InvalidInstance when
-    validation fails and NodeBudgetExceeded (with the flagged partial result
-    attached) when ``opts.max_nodes`` is hit.
+    Depth-first over batches of tree nodes of one level (see ``_Search``),
+    side 0 first; solutions come out sorted by their branch code, so output
+    is deterministic.  Raises InvalidInstance (with the validation report
+    attached) when validation fails, and NodeBudgetExceeded (with the flagged
+    partial result attached) when ``opts.max_nodes`` is hit: the partial
+    result holds the leaves of the batches finished before that.
     """
     opts = opts or SolverOptions()
     report = validate(inst)
     if not report.ok:
-        raise InvalidInstance(f"instance fails validation: {report.summary()}")
+        raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     started = time.perf_counter()
     search = _Search(inst, opts)
-    ctx = search.run()
-    order = sorted(range(len(ctx.codes)), key=ctx.codes.__getitem__)
-    solutions = [ctx.solutions[i] for i in order]
-    codes = [ctx.codes[i] for i in order]
-    leaves = [ctx.leaves[i] for i in order] if opts.keep_tree else None
+    search.run()
+    stats = search.stats
     tree = None
-    if opts.keep_tree and search.root is not None:
-        tree = BpTree(root=search.root, levels=ctx.levels, instance=inst)
-    ctx.stats.wall_time = time.perf_counter() - started
-    result = SolveResult(inst, solutions, codes, tree, ctx.stats, leaves)
-    if ctx.stats.max_window_residual > WINDOW_RESIDUAL_ALARM:
+    if opts.keep_tree:
+        tree = BpTree(root=search.root, levels=search.levels, instance=inst)
+    stats.wall_time = time.perf_counter() - started
+    result = SolveResult(inst, search.solutions, search.codes, tree, stats,
+                         search.leaves if opts.keep_tree else None)
+    if stats.max_window_residual > WINDOW_RESIDUAL_ALARM:
         logger.warning("max window residual %.3e exceeds %.0e: numerical breakdown",
-                       ctx.stats.max_window_residual, WINDOW_RESIDUAL_ALARM)
-    violations = ctx.stats.uniform_level_violations
+                       stats.max_window_residual, WINDOW_RESIDUAL_ALARM)
+    violations = stats.uniform_level_violations
     if violations:
         logger.warning(
             "levels %s mix one- and two-child feasible nodes: degenerate instance",
             list(violations))
-    if ctx.stats.budget_exceeded:
+    if stats.budget_exceeded:
         raise NodeBudgetExceeded(
             f"node budget {opts.max_nodes} exceeded", result=result)
     return result
@@ -364,45 +357,44 @@ def recompute_code(inst: Instance, embedding) -> tuple:
 def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
     """Independent enumeration oracle.
 
-    Tries all 2**(n-K) side-bit sequences; each one rebuilds an embedding
-    from scratch by repeated sphere intersection, taking the root on the
-    requested side of the oriented anchor hyperplane, and is kept only if the
-    finished embedding satisfies *every* edge of the instance.  Shares only
-    the geometric placement primitives with :func:`solve`; no tree, no
-    incremental pruning.  Returns embeddings in the same canonical order.
+    Expands all 2**(n-K) side-bit sequences, level by level and in
+    ``itertools.product`` order, taking the root on the requested side of
+    the oriented anchor hyperplane; a prefix dies only where that side has
+    no placement.  No tree, no pruning: once all n
+    points are placed, an embedding is kept only if it satisfies *every*
+    edge of the instance.  Prefixes are expanded in depth-first chunks of at
+    most BATCH_ROWS rows, one :func:`extend_stack` call per chunk and level.
+    Shares only the geometric placement primitive with :func:`solve`.
+    Returns embeddings in the same canonical order.
     """
     report = validate(inst)
     if not report.ok:
-        raise InvalidInstance(f"instance fails validation: {report.summary()}")
+        raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     K, n = inst.dimension, inst.n
     if n - K > 24:
         raise BudgetExceeded(f"brute force over {n - K} levels is beyond the 2**24 cap")
-    x0 = inst.initial_points()
     radii = {
         v: np.array([inst.edges[(u, v)] for u in inst.window(v)])
         for v in range(K + 1, n + 1)
     }
+    paths = np.zeros((1, n, K))
+    paths[0, :K] = inst.initial_points()
     found = []
-    for bits in itertools.product((0, 1), repeat=n - K):
-        path = np.zeros((n, K))
-        path[:K] = x0
-        prev_normal = None
-        ok = True
-        for pos, want in enumerate(bits):
-            level = K + 1 + pos
-            anchors = path[level - 1 - K : level - 1]
-            ext = extend_positions(anchors, radii[level], prev_normal)
-            if ext.kind is ExtensionKind.PAIR:
-                z = ext.points[want]
-            elif ext.kind is ExtensionKind.TANGENT and ext.plane.side(ext.points[0]) == want:
-                z = ext.points[0]
-            else:
-                ok = False
-                break
-            path[level - 1] = z
-            prev_normal = ext.plane.normal
-        if ok and not edge_violations(inst, path, atol, rtol):
-            found.append(path)
+    stack = [(K, paths, None)]
+    while stack:
+        level, paths, references = stack.pop()
+        if level == n:
+            bad = stacked_edge_violations(inst, paths, atol, rtol)
+            found.extend(path for path, misses in zip(paths, bad) if not misses)
+            continue
+        ext = extend_stack(paths[:, level - K : level], radii[level + 1], references)
+        rows, sides = np.nonzero(ext.placed)
+        paths = paths[rows]
+        paths[:, level] = ext.points[rows, sides]
+        normals = ext.normals[rows]
+        for start in reversed(range(0, len(rows), BATCH_ROWS)):
+            chunk = slice(start, start + BATCH_ROWS)
+            stack.append((level + 1, paths[chunk], normals[chunk]))
     return found
 
 
@@ -439,10 +431,11 @@ def serialize_result(result: SolveResult) -> str:
         c0, c1, c2 = stats.child_hist[lvl]
         lines.append(f"{lvl} {c0} {c1} {c2}")
     lines.append("solutions:")
+    # One template for all n*K coordinates of a solution, K per line.
+    block = "\n".join([" ".join(["%.17g"] * K)] * n)
     for code, emb in zip(result.branch_codes, result.solutions):
         lines.append("code " + "".join(map(str, code)))
-        for row in emb:
-            lines.append(" ".join("%.17g" % c for c in row))
+        lines.append(block % tuple(emb.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -99,11 +99,15 @@ class TestSolve:
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 3
 
-    def test_invalid_instance_exit_3(self, tmp_path):
+    def test_invalid_instance_exit_3(self, tmp_path, capsys):
         text = read(fixture_path("counterexample_k2")).replace("2 3 1\n", "")
         path = tmp_path / "broken.txt"
         path.write_text(text)
         assert main(["solve", str(path), "--out", str(tmp_path / "r.txt")]) == 3
+        assert capsys.readouterr().err == (
+            "invalid instance: TooFewPredecessors(3): vertex 3 has 1 adjacent predecessors, "
+            "needs 2; MissingWindowEdge(3): missing window edge {2, 3}; MissingWindowEdge(4): "
+            "missing window edge {2, 3} (anchors of 4)\n")
 
     def test_plot_table(self, tmp_path):
         out = tmp_path / "res.txt"
@@ -163,7 +167,7 @@ class TestVerify:
         main(["solve", str(inst), "--out", str(res)])
         assert main(["verify", str(inst), str(res), "--oracle"]) == 0
 
-    def test_tampered_coordinate_exit_6(self, tmp_path):
+    def test_tampered_coordinate_exit_6(self, tmp_path, capsys):
         res = tmp_path / "res.txt"
         inst = fixture_path("chain_k2_n5")
         main(["solve", str(inst), "--out", str(res)])
@@ -176,7 +180,11 @@ class TestVerify:
                 break
         tampered = tmp_path / "tampered.txt"
         tampered.write_text("".join(lines))
+        capsys.readouterr()
         assert main(["verify", str(inst), str(tampered)]) == 6
+        failures = capsys.readouterr().err.splitlines()
+        assert [line.split(" off by ")[0] for line in failures[:-1]] == [
+            "solution 0: edge {1, 2}", "solution 0: edge {1, 3}"]
 
 
 class TestDeterminism:

@@ -11,9 +11,11 @@ from dgbp.geometry import (
     Hyperplane,
     cayley_menger_volume,
     extend_positions,
+    extend_stack,
     hyperplane_through,
     reflect,
 )
+from dgbp.instance import regular_simplex
 
 
 def sq_dist_matrix(points):
@@ -260,3 +262,62 @@ class TestExtendPositions:
         null = np.array([1.0]) if K == 1 else np.linalg.svd(anchors[1:] - anchors[0])[2][-1]
         assert min(np.linalg.norm(plane.normal - null),
                    np.linalg.norm(plane.normal + null)) <= 1e-12
+
+
+def anchors_around(rng, radii, kind):
+    """K anchors at distance ``radii[u]`` (times 1.5 for EMPTY) from a point z.
+
+    PAIR: random directions, so z is one of two intersection points.  TANGENT
+    and EMPTY (K >= 2): directions that positively span a hyperplane through
+    z, so z is the only point on all spheres, or, pushed out, there is none.
+    """
+    K = len(radii)
+    z = rng.random(K)
+    if kind is ExtensionKind.PAIR:
+        d = rng.normal(size=(K, K))
+        return z + radii[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
+    v = regular_simplex(K - 1)
+    v = v - v.mean(0)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    basis = np.linalg.qr(rng.normal(size=(K, K)))[0][:, : K - 1]
+    scale = 1.0 if kind is ExtensionKind.TANGENT else 1.5
+    return z + scale * radii[:, None] * (v @ basis.T)
+
+
+class TestExtendStack:
+    FIELDS = ("kind", "points", "placed", "normals", "offsets", "pivots", "discriminants")
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, derandomize=True)
+    def test_rows_match_batch_of_one_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 5))
+        F = int(rng.integers(1, 10))
+        radii = rng.uniform(0.5, 2.0, K)
+        kinds = [ExtensionKind.PAIR if K == 1 else list(ExtensionKind)[rng.integers(0, 3)]
+                 for _ in range(F)]
+        X = np.stack([anchors_around(rng, radii, kind) for kind in kinds])
+        refs = rng.normal(size=(F, K)) if rng.random() < 0.7 else None
+        ext = extend_stack(X, radii, refs)
+        assert [list(ExtensionKind)[k] for k in ext.kind] == kinds
+        for f in range(F):
+            ref = None if refs is None else refs[f]
+            one = extend_stack(X[f : f + 1], radii, None if refs is None else refs[f : f + 1])
+            for name in self.FIELDS:
+                assert getattr(ext, name)[f].tobytes() == getattr(one, name)[0].tobytes(), name
+            wrapped = extend_positions(X[f], radii, ref)
+            assert wrapped.kind is kinds[f]
+            assert [p.tobytes() for p in wrapped.points] == [
+                ext.points[f, s].tobytes() for s in (0, 1) if ext.placed[f, s]]
+            plane = hyperplane_through(X[f], ref)
+            assert plane.normal.tobytes() == ext.normals[f].tobytes()
+            assert (plane.offset, plane.pivot_index) == (ext.offsets[f], ext.pivots[f])
+            if kinds[f] is ExtensionKind.TANGENT:
+                # a fresh contiguous point, as the node-by-node search had
+                s = plane.side(ext.points[f, 0].copy())
+                assert ext.placed[f].tolist() == [s == 0, s == 1]
+
+    def test_degenerate_row_raises(self):
+        good = [[0.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(DegenerateSpan):
+            extend_stack([good, [[1.0, 1.0], [1.0, 1.0]]], [1.0, 1.0])

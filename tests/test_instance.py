@@ -16,6 +16,7 @@ from dgbp.instance import (
     random_instance,
     regular_simplex,
     serialize_instance,
+    stacked_edge_violations,
     validate,
 )
 
@@ -174,6 +175,25 @@ class TestRandomInstance:
             random_instance(0, 5, 0.0, 1)
         with pytest.raises(ValueError):
             random_instance(2, 5, 1.5, 1)
+
+
+class TestEdgeViolations:
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_stack_matches_per_edge_loop(self, K):
+        inst, witness = random_instance(K, 12, 0.5, 40 + K)
+        rng = np.random.default_rng(K)
+        moved = rng.random((30, 12, 1)) < 0.05  # which vertices get noise
+        stack = witness + moved * rng.normal(scale=3e-9, size=(30, 12, K))
+        got = stacked_edge_violations(inst, stack)
+        for emb, found in zip(stack, got):
+            want = []
+            for (u, v), d in sorted(inst.edges.items()):
+                res = abs(float(np.linalg.norm(emb[u - 1] - emb[v - 1])) - d)
+                if res > 1e-9 + 1e-9 * d:
+                    want.append(((u, v), res))
+            assert found == want
+            assert edge_violations(inst, emb) == want
+        assert any(got) and not all(got)
 
 
 class TestSerialization:

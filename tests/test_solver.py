@@ -6,7 +6,7 @@ import pytest
 
 from dgbp.errors import InvalidInstance, NodeBudgetExceeded, TreeDiscarded
 from dgbp.geometry import reflect
-from dgbp.instance import Instance, counterexample, edge_violations
+from dgbp.instance import Instance, counterexample, edge_violations, random_instance
 from dgbp.solver import (
     SolverOptions,
     branch_code,
@@ -262,3 +262,50 @@ class TestResultSerialization:
         edges[pruning[0]] += 1.0
         result = solve(Instance(inst.dimension, inst.n, edges, inst.initial_embedding))
         assert "status: infeasible" in serialize_result(result)
+
+
+def _code_prefix(node) -> tuple:
+    bits = []
+    while node.level >= 1:
+        bits.append(node.side)
+        node = node.parent
+    return tuple(reversed(bits))
+
+
+@pytest.fixture(scope="module")
+def cap_instances(corpus):
+    names = ("chain_k2_n5", "random_04", "counterexample_k2")
+    full_tree = random_instance(2, 12, 0.0, 12)[0]  # 1,024 solutions, no pruning
+    return [corpus[name] for name in names] + [full_tree]
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_batch_cap_does_not_change_output(self, cap_instances, monkeypatch, cap):
+        def run():
+            out = []
+            for inst in cap_instances:
+                result = solve(inst, SolverOptions(keep_tree=True))
+                levels = {lvl: [(node.side, node.feasible) for node in nodes]
+                          for lvl, nodes in result.tree.levels.items()}
+                out.append((serialize_result(result), levels))
+            return out
+
+        default = run()
+        monkeypatch.setattr("dgbp.solver.BATCH_ROWS", cap)
+        assert run() == default
+
+    def test_levels_in_code_prefix_order(self, cap_instances):
+        for inst in cap_instances:
+            result = solve(inst, SolverOptions(keep_tree=True))
+            for nodes in result.tree.levels.values():
+                prefixes = [_code_prefix(node) for node in nodes]
+                # strictly increasing: sorted, and siblings side 0 first
+                assert all(a < b for a, b in zip(prefixes, prefixes[1:]))
+
+    def test_brute_force_independent_of_batch_cap(self, cap_instances, monkeypatch):
+        default = [brute_force(inst) for inst in cap_instances]
+        monkeypatch.setattr("dgbp.solver.BATCH_ROWS", 1)
+        for inst, want in zip(cap_instances, default):
+            got = brute_force(inst)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
