@@ -24,7 +24,6 @@ from .errors import (
     NoSiblingBranch,
     ParseError,
     SubtreeNotFull,
-    TreeDiscarded,
 )
 from .geometry import (
     ExtensionKind,
@@ -36,6 +35,7 @@ from .geometry import (
     extend_stack,
     hyperplane_through,
     reflect,
+    reflect_stack,
 )
 from .instance import (
     EdgeKind,
@@ -54,12 +54,9 @@ from .instance import (
     validate,
 )
 from .solver import (
-    BpNode,
-    BpTree,
     SolveResult,
     SolveStats,
     SolverOptions,
-    branch_code,
     brute_force,
     parse_result,
     recompute_code,

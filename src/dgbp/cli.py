@@ -136,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="result file path")
     p.add_argument("--atol", type=float, default=1e-9)
     p.add_argument("--rtol", type=float, default=1e-9)
-    p.add_argument("--keep-tree", action="store_true",
-                   help="retain the search tree in memory while solving")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--plot", help="also write a flat coordinate table here")
     p.set_defaults(func=cmd_solve)
@@ -214,8 +212,7 @@ def cmd_validate(args, command: str) -> int:
 def cmd_solve(args, command: str) -> int:
     started = time.perf_counter()
     inst = parse_instance(_read(args.instance))
-    opts = SolverOptions(atol=args.atol, rtol=args.rtol, keep_tree=args.keep_tree,
-                         max_nodes=args.max_nodes)
+    opts = SolverOptions(atol=args.atol, rtol=args.rtol, max_nodes=args.max_nodes)
     budget_hit = False
     try:
         result = solve(inst, opts)

@@ -51,10 +51,6 @@ class BudgetExceeded(DgbpError, RuntimeError):
     """The requested exhaustive computation is beyond the hard size cap."""
 
 
-class TreeDiscarded(DgbpError, RuntimeError):
-    """The operation needs the search tree, but it was not retained."""
-
-
 class GroupTooLarge(DgbpError, RuntimeError):
     """Refusing to materialise a group with more than 2**24 elements."""
 

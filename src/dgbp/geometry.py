@@ -7,7 +7,8 @@ degenerate anchors, the hyperplane through K anchor points, the mirror image
 across it, and the two-point intersection of the K spheres centred at the
 anchors.  Placement works on stacks of F anchor sets at once
 (:func:`extend_stack`); :func:`extend_positions` and
-:func:`hyperplane_through` are its batch-of-one forms.
+:func:`hyperplane_through` are its batch-of-one forms.  Likewise
+:func:`reflect` is the batch-of-one form of :func:`reflect_stack`.
 
 All functions are pure and never mutate their arguments.
 """
@@ -182,21 +183,37 @@ def hyperplane_through(points, reference=None) -> Hyperplane:
     return Hyperplane(normals[0], float(offsets[0]), int(pivots[0]))
 
 
+def reflect_stack(normals, offsets, pivots, points) -> np.ndarray:
+    """Mirror images of the points (S, T, K) across S planes, one per row.
+
+    Row s of ``points`` is reflected across the plane with unit normal
+    ``normals[s]`` (S, K), offset ``offsets[s]`` and pivot ``pivots[s]``, as
+    :func:`_anchor_planes` returns them.  The plane is translated through the
+    origin along its pivot axis, the linear reflection I - 2 a a^T is applied
+    and the translation undone.  Each row is bit for bit what
+    :func:`reflect`, its batch-of-one form, gives.
+    """
+    a = np.ascontiguousarray(normals, dtype=float)  # see row_dots
+    q = np.array(points, dtype=float)
+    rows = np.arange(len(a))
+    pivots = np.asarray(pivots)
+    shift = np.asarray(offsets, dtype=float) / a[rows, pivots]
+    q[rows, :, pivots] -= shift[:, None]
+    q = q - 2.0 * row_dots(q, a[:, None, :])[..., None] * a[:, None, :]
+    q[rows, :, pivots] += shift[:, None]
+    return q
+
+
 def reflect(plane: Hyperplane, point) -> np.ndarray:
     """Mirror image of ``point`` across ``plane``.
 
-    Translates the plane through the origin along its pivot axis, applies the
-    linear reflection I - 2 a a^T, and translates back.  The map is an
-    involution and an isometry; points on the plane are fixed.
+    The batch-of-one form of :func:`reflect_stack`, which describes the
+    method.  The map is an involution and an isometry; points on the plane
+    are fixed.
     """
-    a = plane.normal
-    p = np.asarray(point, dtype=float)
-    shift = plane.offset / a[plane.pivot_index]
-    q = p.copy()
-    q[plane.pivot_index] -= shift
-    q = q - 2.0 * float(a @ q) * a
-    q[plane.pivot_index] += shift
-    return q
+    normal = np.asarray(plane.normal, dtype=float)[None]
+    p = np.asarray(point, dtype=float)[None, None]
+    return reflect_stack(normal, [plane.offset], [plane.pivot_index], p)[0, 0]
 
 
 class ExtensionKind(Enum):

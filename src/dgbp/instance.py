@@ -310,7 +310,8 @@ def stacked_edge_violations(inst: Instance, embeddings, atol: float = 1e-9,
     """:func:`edge_violations` of every embedding of an (S, n, K) stack.
 
     All S * |E| residuals come from one numpy pass; each is bit for bit the
-    residual ``|norm(emb[u] - emb[v]) - d|`` of a 1-D computation.
+    residual ``|norm(emb[u] - emb[v]) - d|`` of a 1-D computation.  A
+    residual that is not within the bound, NaN included, is a violation.
     """
     emb = np.asarray(embeddings, dtype=float)
     out: list = [[] for _ in range(len(emb))]
@@ -321,7 +322,7 @@ def stacked_edge_violations(inst: Instance, embeddings, atol: float = 1e-9,
     d = np.array([inst.edges[e] for e in edges])
     delta = emb[:, ends[:, 0]] - emb[:, ends[:, 1]]
     res = np.abs(np.sqrt(row_dots(delta, delta)) - d)
-    hits, cols = np.nonzero(res > atol + rtol * d)
+    hits, cols = np.nonzero(~(res <= atol + rtol * d))
     for s, j, value in zip(hits.tolist(), cols.tolist(), res[hits, cols].tolist()):
         out[s].append((edges[j], value))
     return out

@@ -1,15 +1,16 @@
 """Branch-and-prune enumeration of all embeddings of an instance.
 
 The search tree places one vertex per level.  Levels 1..K are seeded from the
-initial embedding as a chain of feasible side-0 nodes (each with an
-infeasible side-1 twin so that codes have length n).  From level K+1 on, the
-window anchors define a hyperplane and a two-point sphere intersection; each
-candidate is kept unless some pruning edge (an edge reaching in front of the
-window) rejects it.  A node's *side* bit records which half-space of the
-oriented anchor hyperplane its point fell in, with the orientation chained so
-that consecutive normals have nonnegative dot product.  All nodes of a level
-share their radii and pruning edges, so the search expands whole batches of
-same-level nodes at once, depth first over batches of at most BATCH_ROWS.
+initial embedding as a chain of feasible side-0 nodes (each counted with an
+infeasible side-1 twin), so codes have length n and start with K zeros.
+From level K+1 on, the window anchors define a hyperplane and a two-point
+sphere intersection; each candidate is kept unless some pruning edge (an
+edge reaching in front of the window) rejects it.  A node's *side* bit
+records which half-space of the oriented anchor hyperplane its point fell
+in, with the orientation chained so that consecutive normals have
+nonnegative dot product.  All nodes of a level share their radii and
+pruning edges, so the search expands whole batches of same-level nodes at
+once, depth first over batches of at most BATCH_ROWS.
 
 Also provides an independent exhaustive oracle (``brute_force``) that
 expands every side-bit sequence without pruning and then checks every edge,
@@ -18,6 +19,7 @@ and plain serialization of results.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -30,7 +32,6 @@ from .errors import (
     InvalidInstance,
     NodeBudgetExceeded,
     ParseError,
-    TreeDiscarded,
 )
 from .geometry import extend_stack, hyperplane_through, row_dots
 from .instance import Instance, stacked_edge_violations, validate
@@ -46,45 +47,17 @@ class SolverOptions:
     """Knobs for :func:`solve`.
 
     ``atol``/``rtol`` form the pruning band: an edge check fails iff
-    ``|dist - d| > atol + rtol * d``.  ``max_nodes`` caps created tree nodes;
-    ``keep_tree`` retains the search tree that ``branch_code``,
-    ``partial_reflection`` and ``distance_spectrum`` walk.
+    ``|dist - d| > atol + rtol * d``.  ``max_nodes`` caps created tree nodes.
+    ``keep_tree`` is accepted and ignored, so that callers passing it keep
+    working: no search tree is retained, since everything that reads the
+    solution set needs only the solutions, their branch codes and the
+    instance.
     """
 
     atol: float = 1e-9
     rtol: float = 1e-9
     keep_tree: bool = False
     max_nodes: int | None = None
-
-
-class BpNode:
-    """Search-tree node: one placed point plus its side bit and feasibility."""
-
-    __slots__ = ("level", "point", "side", "feasible", "parent", "children")
-
-    def __init__(self, level, point, side, feasible, parent):
-        self.level = level
-        self.point = point
-        self.side = side
-        self.feasible = feasible
-        self.parent = parent
-        self.children: list[BpNode] = []
-
-    def __repr__(self):
-        flag = "+" if self.feasible else "-"
-        return f"BpNode(level={self.level}, side={self.side}, {flag})"
-
-
-@dataclass(eq=False)
-class BpTree:
-    """Retained search tree: virtual level-0 root plus per-level node lists."""
-
-    root: BpNode
-    levels: dict
-    instance: Instance
-
-    def feasible_leaves(self) -> list[BpNode]:
-        return [node for node in self.levels.get(self.instance.n, []) if node.feasible]
 
 
 @dataclass
@@ -114,16 +87,14 @@ class SolveResult:
     """Solutions in canonical (lexicographic-code) order plus search metadata.
 
     ``branch_codes[i]`` is the n-bit tuple of side bits along the path to
-    ``solutions[i]``; its first K bits are always 0.  ``tree`` and ``leaves``
-    are populated only when the solve kept the tree.
+    ``solutions[i]``; its first K bits are always 0.  ``instance`` is the
+    solved instance, or None for a result read from a file.
     """
 
     instance: Instance | None
     solutions: list
     branch_codes: list
-    tree: BpTree | None
     stats: SolveStats
-    leaves: list | None = None
 
     @property
     def solution_count(self) -> int:
@@ -138,17 +109,17 @@ BATCH_ROWS = 1024
 class _Search:
     """Depth-first walk over batches of equal-level tree nodes.
 
-    A batch is ``(level, paths, codes, references, nodes)``: row f holds the
+    A batch is ``(level, paths, codes, references)``: row f holds the
     placed points ``paths[f, :level]`` of one feasible node, its side bits
-    ``codes[f, :level]``, the normal its children's plane is oriented by and,
-    with ``keep_tree``, its BpNode.  All rows of a level share radii and
+    ``codes[f, :level]`` and the normal its children's plane is oriented by.
+    No node is kept beyond its batch.  All rows of a level share radii and
     pruning edges, so one batch is expanded by one :func:`extend_stack`
     call, one prune check over the level's pruning edges and one window
     residual check.  Feasible children, in row order and side 0 first, are
     cut into chunks of at most BATCH_ROWS rows, pushed last first.  Batches
     at one level are thus expanded in lexicographic code order, which is
     the preorder of a node-by-node depth-first search: leaves come out
-    sorted by code, and ``tree.levels`` keeps that preorder.
+    sorted by code.
     """
 
     def __init__(self, inst: Instance, opts: SolverOptions):
@@ -165,27 +136,13 @@ class _Search:
             back = [u for u in inst.predecessors(v) if u < v - K]
             self.prune[v] = (np.array(back, dtype=int) - 1,
                              np.array([inst.edges[(u, v)] for u in back]))
-        self.keep_tree = opts.keep_tree
         self.created = 0
-        self.root: BpNode | None = None
         self.solutions: list[np.ndarray] = []
         self.codes: list[tuple] = []
-        self.leaves: list = []
-        self.levels: dict = {}
         self.stats = SolveStats()
 
     def run(self) -> None:
         K, n, stats = self.K, self.n, self.stats
-        node = None
-        if self.keep_tree:
-            self.root = node = BpNode(0, None, 0, True, None)
-            for lvl in range(1, K + 1):
-                point = self.x0[lvl - 1].copy()
-                live = BpNode(lvl, point, 0, True, node)
-                dead = BpNode(lvl, point.copy(), 1, False, node)
-                node.children = [live, dead]
-                self.levels[lvl] = [live, dead]
-                node = live
         stats.nodes_feasible += K
         stats.nodes_infeasible += K
         for lvl in range(1, K):
@@ -193,8 +150,7 @@ class _Search:
         paths = np.zeros((1, n, K))
         paths[0, :K] = self.x0
         self.created += 2 * K
-        stack = [(K, paths, np.zeros((1, n), dtype=np.int8), None,
-                  None if node is None else [node])]
+        stack = [(K, paths, np.zeros((1, n), dtype=np.int8), None)]
         while stack and self._within_budget():
             self._expand(stack, *stack.pop())
         stats.budget_exceeded = not self._within_budget()
@@ -202,13 +158,11 @@ class _Search:
     def _within_budget(self) -> bool:
         return self.opts.max_nodes is None or self.created <= self.opts.max_nodes
 
-    def _expand(self, stack, level, paths, codes, references, nodes) -> None:
+    def _expand(self, stack, level, paths, codes, references) -> None:
         K, stats = self.K, self.stats
         if level == self.n:
             self.solutions.extend(paths)
             self.codes.extend(map(tuple, codes.tolist()))
-            if nodes is not None:
-                self.leaves.extend(nodes)
             return
         anchors = paths[:, level - K : level]
         radii = self.radii[level + 1]
@@ -217,8 +171,8 @@ class _Search:
         except DegenerateSpan as exc:
             raise DegenerateSpan(
                 f"degenerate anchors while placing vertex {level + 1}: {exc}") from exc
-        # The budget counts both children of every non-empty row, the same
-        # nodes the tree holds; it is checked before they are created.
+        # The budget counts both children of every non-empty row, feasible
+        # or not; it is checked before they are created.
         empty, tangent, pair = np.bincount(ext.kind, minlength=3).tolist()
         created = 2 * (tangent + pair)
         self.created += created
@@ -248,9 +202,6 @@ class _Search:
         for count, parents in enumerate(np.bincount(per_row, minlength=3).tolist()):
             hist[count] += parents
 
-        children = None
-        if self.keep_tree:
-            children = self._grow_tree(level + 1, nodes, ext, rows, sides)
         if np.array_equal(rows, np.arange(len(paths))):
             # One child per row, in row order: extend the batch in place.
             paths[:, level] = z
@@ -263,25 +214,25 @@ class _Search:
         normals = ext.normals[rows]
         for start in reversed(range(0, len(rows), BATCH_ROWS)):
             chunk = slice(start, start + BATCH_ROWS)
-            stack.append((level + 1, paths[chunk], codes[chunk], normals[chunk],
-                          None if children is None else children[chunk]))
+            stack.append((level + 1, paths[chunk], codes[chunk], normals[chunk]))
 
-    def _grow_tree(self, level, parents, ext, rows, sides) -> list:
-        """Create both children of every non-empty row; return the feasible ones."""
-        feasible = np.zeros(ext.placed.shape, dtype=bool)
-        feasible[rows, sides] = True
-        created = self.levels.setdefault(level, [])
-        live = []
-        for f in np.flatnonzero(ext.placed.any(1)).tolist():
-            parent = parents[f]
-            for side in (0, 1):
-                ok = bool(feasible[f, side])
-                node = BpNode(level, ext.points[f, side].copy(), side, ok, parent)
-                parent.children.append(node)
-                created.append(node)
-                if ok:
-                    live.append(node)
-        return live
+
+def _prefix_leaves(inst: Instance, m: int) -> tuple:
+    """Feasible level-m nodes of the search tree of ``inst``, in code order.
+
+    Searches the prefix instance on vertices 1..m, which keeps the edges
+    with both ends <= m: a node's feasibility depends on no other edge, so
+    its tree is the tree of ``inst`` cut off at level m.  Returns the placed
+    points (S, m, K) and the codes (length-m tuples).  Runs with the default
+    tolerances, no node budget and no validation: ``inst`` was validated
+    when it was solved.
+    """
+    edges = {e: d for e, d in inst.edges.items() if e[1] <= m}
+    search = _Search(Instance(inst.dimension, m, edges, inst.initial_embedding),
+                     SolverOptions())
+    search.run()
+    points = np.asarray(search.solutions).reshape(-1, m, inst.dimension)
+    return points, search.codes
 
 
 def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
@@ -302,12 +253,8 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     search = _Search(inst, opts)
     search.run()
     stats = search.stats
-    tree = None
-    if opts.keep_tree:
-        tree = BpTree(root=search.root, levels=search.levels, instance=inst)
     stats.wall_time = time.perf_counter() - started
-    result = SolveResult(inst, search.solutions, search.codes, tree, stats,
-                         search.leaves if opts.keep_tree else None)
+    result = SolveResult(inst, search.solutions, search.codes, stats)
     if stats.max_window_residual > WINDOW_RESIDUAL_ALARM:
         logger.warning("max window residual %.3e exceeds %.0e: numerical breakdown",
                        stats.max_window_residual, WINDOW_RESIDUAL_ALARM)
@@ -320,25 +267,6 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
         raise NodeBudgetExceeded(
             f"node budget {opts.max_nodes} exceeded", result=result)
     return result
-
-
-def branch_code(result: SolveResult, index: int) -> tuple:
-    """Side bits along the root-to-leaf path of one solution.
-
-    Walks the retained tree; raises TreeDiscarded when the solve ran with
-    ``keep_tree=False``.  The first K bits are always 0 (seeded chain).
-    """
-    if result.tree is None or result.leaves is None:
-        raise TreeDiscarded("branch_code needs solve(..., keep_tree=True)")
-    node = result.leaves[index]
-    bits = []
-    while node is not None and node.level >= 1:
-        bits.append(node.side)
-        node = node.parent
-    bits.reverse()
-    code = tuple(bits)
-    assert code == result.branch_codes[index]
-    return code
 
 
 def recompute_code(inst: Instance, embedding) -> tuple:
@@ -440,7 +368,11 @@ def serialize_result(result: SolveResult) -> str:
 
 
 def parse_result(text: str) -> SolveResult:
-    """Parse :func:`serialize_result` output (tree and instance are None)."""
+    """Parse :func:`serialize_result` output (the instance is None).
+
+    Raises a line-numbered ParseError for a code whose length is not n and
+    for a coordinate that is not a finite number.
+    """
     stats = SolveStats()
     K = n = None
     count = None
@@ -448,6 +380,7 @@ def parse_result(text: str) -> SolveResult:
     codes: list = []
     mode = None
     current: list | None = None
+    code_lines: list = []
     int_fields = {
         "solution_count", "nodes_feasible", "nodes_infeasible",
         "candidates_pruned", "empty_extensions", "tangent_events",
@@ -462,7 +395,10 @@ def parse_result(text: str) -> SolveResult:
             bits = line[5:].strip()
             if not bits or set(bits) - {"0", "1"}:
                 raise ParseError(f"bad code {bits!r}", lineno)
+            if n is None or len(bits) != n:
+                raise ParseError(f"code of length {len(bits)}, expected n = {n}", lineno)
             codes.append(tuple(int(b) for b in bits))
+            code_lines.append(lineno)
             current = []
             solutions.append(current)
             continue
@@ -505,16 +441,32 @@ def parse_result(text: str) -> SolveResult:
             parts = line.split()
             if K is None or len(parts) != K:
                 raise ParseError(f"expected {K} coordinates, got {len(parts)}", lineno)
-            current.append([float(p) for p in parts])
+            try:
+                current.append([float(p) for p in parts])
+            except ValueError:
+                raise ParseError(f"bad coordinate in {line!r}", lineno) from None
         else:
             raise ParseError(f"unexpected line {line!r}", lineno)
     if K is None or n is None or count is None:
         raise ParseError("missing required result fields")
     if len(solutions) != count:
         raise ParseError(f"solution_count says {count}, file has {len(solutions)}")
-    arrays = []
     for rows in solutions:
         if len(rows) != n:
             raise ParseError(f"solution has {len(rows)} rows, expected {n}")
-        arrays.append(np.asarray(rows, dtype=float))
-    return SolveResult(None, arrays, codes, None, stats, None)
+    stack = np.asarray(solutions, dtype=float)  # (S, n, K): every shape was checked
+    if solutions and not np.isfinite(stack).all():
+        index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
+        raise ParseError("non-finite coordinate", _row_line(text, code_lines[index], row))
+    return SolveResult(None, list(stack), codes, stats)
+
+
+def _row_line(text: str, code_line: int, row: int) -> int:
+    """Line number of coordinate row ``row`` of the solution coded on ``code_line``.
+
+    As in :func:`parse_result`, every line after a code line that is not
+    blank or a comment is a coordinate row of that solution.
+    """
+    rows = (lineno for lineno, raw in enumerate(text.splitlines()[code_line:], code_line + 1)
+            if raw.strip() and not raw.strip().startswith("#"))
+    return next(itertools.islice(rows, row, None))

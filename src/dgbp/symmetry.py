@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousSpectrum,
-    GroupTooLarge,
-    NoSiblingBranch,
-    SubtreeNotFull,
-    TreeDiscarded,
-)
-from .geometry import hyperplane_through, reflect
+from .errors import AmbiguousSpectrum, GroupTooLarge, NoSiblingBranch, SubtreeNotFull
+from .geometry import _anchor_planes, reflect_stack
+from .solver import _prefix_leaves
 
 #: Largest generator count for which the subgroup is materialised exactly.
 MAX_EXACT_GENERATORS = 24
@@ -113,11 +108,9 @@ def branches_both_ways(result, index: int, vertex: int) -> bool:
     Read off the code set: the path branches iff some code extends this
     solution's length-(vertex-1) prefix with a 0 bit and another with a 1
     bit.  ``branch_codes`` is in lexicographic order, so two bisections
-    answer that.  The tree is still required, as for the reflection itself.
+    answer that.  K and n are the solution's shape.
     """
-    if result.tree is None or result.leaves is None:
-        raise TreeDiscarded("branch predicate needs solve(..., keep_tree=True)")
-    K, n = result.instance.dimension, result.instance.n
+    n, K = np.shape(result.solutions[index])
     if not K + 1 <= vertex <= n:
         raise ValueError(f"vertex must be in {K + 1}..{n}, got {vertex}")
     codes = result.branch_codes
@@ -138,17 +131,25 @@ def partial_reflection(result, index: int, vertex: int) -> np.ndarray:
     anchors of ``vertex`` in this solution.  Meaningful (it lands on another
     solution, with the branch code XORed by the suffix flip) whenever the
     path genuinely branches at ``vertex``; otherwise NoSiblingBranch is
-    raised.
+    raised.  K is the solution's shape; no instance is needed.
     """
     if not branches_both_ways(result, index, vertex):
         raise NoSiblingBranch(
             f"solution {index} does not branch both ways at vertex {vertex}")
-    y = result.solutions[index]
-    K = result.instance.dimension
-    plane = hyperplane_through(y[vertex - 1 - K : vertex - 1])
-    out = y.copy()
-    for row in range(vertex - 1, len(y)):
-        out[row] = reflect(plane, y[row])
+    return _mirror_tails(np.asarray(result.solutions[index], dtype=float)[None], vertex)[0]
+
+
+def _mirror_tails(stack: np.ndarray, vertex: int) -> np.ndarray:
+    """Partial reflections at ``vertex`` of every solution of an (S, n, K) stack.
+
+    One anchor plane per solution, through its rows vertex-1-K..vertex-2 and
+    oriented as :func:`hyperplane_through` orients it without a reference;
+    rows from vertex-1 on are mirrored across it, earlier rows are kept.
+    """
+    K = stack.shape[2]
+    normals, offsets, pivots, _ = _anchor_planes(stack[:, vertex - 1 - K : vertex - 1], None)
+    out = stack.copy()
+    out[:, vertex - 1 :] = reflect_stack(normals, offsets, pivots, stack[:, vertex - 1 :])
     return out
 
 
@@ -190,10 +191,12 @@ def verify_orbit(result) -> SymmetryReport:
     the mixed-children diagnostic or tangent events) they are expected to
     fail.  This test is linear in the total code length.
 
-    With a retained tree, every (solution, level in I) pair is additionally
-    checked against the tail-reflection prediction: the residual is measured
-    to the solution whose code is the predicted partner ``c XOR flip_i``, or
-    is ``inf`` (``matched_index=-1``) when no solution has that code.
+    When the result carries its instance, as every :func:`solve` result
+    does, every (solution, level in I) pair is additionally checked against
+    the tail-reflection prediction: the residual is measured to the solution
+    whose code is the predicted partner ``c XOR flip_i``, or is ``inf``
+    (``matched_index=-1``) when no solution has that code.  A result read
+    from a file has no instance and gets no reflection checks.
     """
     codes = list(result.branch_codes)
     if not codes:
@@ -213,24 +216,9 @@ def verify_orbit(result) -> SymmetryReport:
     degenerate = bool(violations) or tangents > 0
 
     checks: list[ReflectionCheck] = []
-    if result.tree is not None and result.leaves is not None and result.solutions:
-        index_of = {code: i for i, code in enumerate(codes)}
-        for idx, code in enumerate(codes):
-            for lvl in sorted(levels):
-                mirrored = partial_reflection(result, idx, lvl)
-                partner = index_of.get(xor_bits(code, suffix_flip(lvl, n)))
-                if partner is None:
-                    partner, residual = -1, float("inf")
-                else:
-                    residual = float(np.max(np.linalg.norm(
-                        result.solutions[partner] - mirrored, axis=1)))
-                checks.append(ReflectionCheck(
-                    solution_index=idx,
-                    level=lvl,
-                    residual=residual,
-                    code_matches=partner >= 0,
-                    matched_index=partner,
-                ))
+    if result.instance is not None:
+        checks = _reflection_checks(np.asarray(result.solutions, dtype=float), codes,
+                                    sorted(levels))
 
     return SymmetryReport(
         n=n,
@@ -248,6 +236,34 @@ def verify_orbit(result) -> SymmetryReport:
     )
 
 
+def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
+    """Tail-reflection checks of every (solution, level), solution major.
+
+    Per level: one stacked partial reflection of all S solutions, partners
+    found through codes packed into integers (the suffix flip at i is the
+    mask of the low n-i+1 bits), and the residual ``max_row |partner -
+    mirrored|``.
+    """
+    n = stack.shape[1]
+    keys = [int("".join(map(str, code)), 2) for code in codes]
+    index_of = {key: i for i, key in enumerate(keys)}
+    partners, residuals = [], []
+    for lvl in levels:
+        flip = (1 << (n - lvl + 1)) - 1
+        partner = np.array([index_of.get(key ^ flip, -1) for key in keys])
+        d = stack[partner] - _mirror_tails(stack, lvl)
+        residual = np.sqrt((d * d).sum(-1)).max(-1)
+        residual[partner < 0] = np.inf
+        partners.append(partner.tolist())
+        residuals.append(residual.tolist())
+    return [
+        ReflectionCheck(solution_index=idx, level=lvl, residual=residuals[j][idx],
+                        code_matches=partners[j][idx] >= 0,
+                        matched_index=partners[j][idx])
+        for idx in range(len(keys)) for j, lvl in enumerate(levels)
+    ]
+
+
 def _in_flip_span(diff: tuple, levels) -> bool:
     """Is ``diff`` an XOR of suffix flips at ``levels``?"""
     prev = 0
@@ -261,39 +277,43 @@ def _in_flip_span(diff: tuple, levels) -> bool:
 def distance_spectrum(result, u: int, v: int) -> tuple:
     """Distinct distances between ranks ``u`` and ``v`` over a full subtree.
 
-    Starting from the leftmost feasible node at level ``u``, descends through
-    levels u..v requiring every feasible node to carry its full complement of
-    feasible children (SubtreeNotFull otherwise), then clusters the distances
-    from the subtree root's point to each level-``v`` point.  On generic
-    chains with v - u = K + q the cluster count is 2**q.  Clusters separated
-    by less than ten times the tolerance raise AmbiguousSpectrum rather than
-    guessing.
+    The subtree root is the leftmost feasible node at level ``u``: the
+    seeded point when u <= K, else the first leaf of the search on the
+    prefix instance of vertices 1..u (see ``solver._prefix_leaves``).  Its
+    subtree is the set of leaves of the level-``v`` prefix search whose code
+    starts with the root's code; it is full, holding 2**q nodes for the q
+    branching levels in u+1..v, only if every node in it has its full
+    complement of feasible children (SubtreeNotFull otherwise).  The
+    distances from the root's point to each level-``v`` point are then
+    clustered.  On generic chains with v - u = K + q the cluster count is
+    2**q.  Clusters separated by less than ten times the tolerance raise
+    AmbiguousSpectrum rather than guessing.  The searches run from
+    ``result.instance`` (ValueError for a result without one) with the
+    default tolerances.
     """
-    if result.tree is None:
-        raise TreeDiscarded("distance_spectrum needs solve(..., keep_tree=True)")
     inst = result.instance
+    if inst is None:
+        raise ValueError("distance_spectrum needs the instance the result was solved from")
     K, n = inst.dimension, inst.n
     if not 1 <= u < v <= n:
         raise ValueError(f"need 1 <= u < v <= {n}, got u={u}, v={v}")
     if v - u <= K:
         raise ValueError(f"need v - u > K for a spectrum, got v - u = {v - u}")
-    roots = [nd for nd in result.tree.levels.get(u, []) if nd.feasible]
-    if not roots:
-        raise SubtreeNotFull(f"no feasible node at level {u}")
-    frontier = [roots[0]]
-    for level in range(u, v):
-        expected = 1 if level + 1 <= K else 2
-        nxt = []
-        for node in frontier:
-            live = [c for c in node.children if c.feasible]
-            if len(live) != expected:
-                raise SubtreeNotFull(
-                    f"node at level {level} has {len(live)} feasible children, "
-                    f"expected {expected}")
-            nxt.extend(live)
-        frontier = nxt
-    anchor = roots[0].point
-    dists = sorted(float(np.linalg.norm(node.point - anchor)) for node in frontier)
+    if u <= K:
+        root, anchor = (0,) * u, inst.initial_points()[u - 1]
+    else:
+        points, codes = _prefix_leaves(inst, u)
+        if not codes:
+            raise SubtreeNotFull(f"no feasible node at level {u}")
+        root, anchor = codes[0], points[0, u - 1]
+    points, codes = _prefix_leaves(inst, v)
+    leaves = [point[v - 1] for point, code in zip(points, codes) if code[:u] == root]
+    full = 2 ** (v - max(u, K))
+    if len(leaves) != full:
+        raise SubtreeNotFull(
+            f"subtree of the level-{u} node has {len(leaves)} feasible nodes at "
+            f"level {v}, expected {full}")
+    dists = sorted(float(np.linalg.norm(point - anchor)) for point in leaves)
     scale = max(inst.edges.values())
     tol = SPECTRUM_TOL * scale
     clusters: list[list[float]] = [[dists[0]]]

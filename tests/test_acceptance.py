@@ -23,7 +23,7 @@ from dgbp.geometry import (
     reflect,
 )
 from dgbp.instance import counterexample, random_instance
-from dgbp.solver import SolverOptions, brute_force, recompute_code, solve
+from dgbp.solver import brute_force, recompute_code, solve
 from dgbp.symmetry import (
     branch_levels,
     combine_flips,
@@ -106,7 +106,7 @@ def test_criterion_4_partial_reflection_theorem():
     checked = 0
     for K, n, p, seed in seeded_batch(20):
         inst, _ = random_instance(K, n, p, seed)
-        result = solve(inst, SolverOptions(keep_tree=True))
+        result = solve(inst)
         report = verify_orbit(result)
         assert report.reflection_checks, f"seed {seed}: no (solution, level) pairs"
         for chk in report.reflection_checks:
@@ -144,7 +144,7 @@ def test_criterion_6_distance_spectra():
     ]
     for label, (K, n, p, seed), u, v, expected in cases:
         inst, _ = random_instance(K, n, p, seed)
-        result = solve(inst, SolverOptions(keep_tree=True))
+        result = solve(inst)
         try:
             spectrum = distance_spectrum(result, u, v)
         except AmbiguousSpectrum:

@@ -109,6 +109,10 @@ class TestSolve:
             "needs 2; MissingWindowEdge(3): missing window edge {2, 3}; MissingWindowEdge(4): "
             "missing window edge {2, 3} (anchors of 4)\n")
 
+    def test_keep_tree_flag_is_usage_error(self, tmp_path):
+        assert main(["solve", str(fixture_path("chain_k2_n5")), "--keep-tree",
+                     "--out", str(tmp_path / "r.txt")]) == 3
+
     def test_plot_table(self, tmp_path):
         out = tmp_path / "res.txt"
         plot = tmp_path / "coords.tsv"
@@ -185,6 +189,34 @@ class TestVerify:
         failures = capsys.readouterr().err.splitlines()
         assert [line.split(" off by ")[0] for line in failures[:-1]] == [
             "solution 0: edge {1, 2}", "solution 0: edge {1, 3}"]
+
+
+class TestMalformedResult:
+    """A damaged result file is invalid input (exit 3) to analyze and verify."""
+
+    @staticmethod
+    def damaged(tmp_path, damage):
+        res = tmp_path / "res.txt"
+        main(["solve", str(fixture_path("chain_k2_n5")), "--out", str(res)])
+        lines = read(res).splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("code "))
+        lines[at : at + 2] = damage(lines[at], lines[at + 1])
+        path = tmp_path / "damaged.txt"
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("damage", [
+        lambda code, row: [code, "nan " + row.split()[1] + "\n"],
+        lambda code, row: ["code 0000\n", row],
+        lambda code, row: [code, "x1 " + row.split()[1] + "\n"],
+    ], ids=["nan", "short-code", "not-a-number"])
+    def test_exit_3_without_traceback(self, tmp_path, capsys, damage):
+        path = self.damaged(tmp_path, damage)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--out", str(tmp_path / "rep.txt")]) == 3
+        assert main(["verify", str(fixture_path("chain_k2_n5")), str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("parse error: line ") for line in err)
 
 
 class TestDeterminism:

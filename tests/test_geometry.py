@@ -13,7 +13,9 @@ from dgbp.geometry import (
     extend_positions,
     extend_stack,
     hyperplane_through,
+    _anchor_planes,
     reflect,
+    reflect_stack,
 )
 from dgbp.instance import regular_simplex
 
@@ -148,6 +150,38 @@ class TestReflect:
         d0 = np.linalg.norm(p - q)
         d1 = np.linalg.norm(reflect(h, p) - reflect(h, q))
         assert abs(d1 - d0) <= 1e-12 + 1e-12 * d0
+
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, derandomize=True)
+    def test_stack_rows_match_scalar_formula_bit_for_bit(self, seed):
+        def scalar(plane, point):
+            # the single-point formula reflect_stack generalises
+            a = plane.normal
+            shift = plane.offset / a[plane.pivot_index]
+            q = np.array(point, dtype=float)
+            q[plane.pivot_index] -= shift
+            q = q - 2.0 * float(a @ q) * a
+            q[plane.pivot_index] += shift
+            return q
+
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 5))
+        S, T = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        anchors = np.stack([random_anchors(rng, K) for _ in range(S)])
+        refs = rng.normal(size=(S, K)) if rng.random() < 0.5 else None
+        normals, offsets, pivots, _ = _anchor_planes(anchors, refs)
+        points = rng.normal(size=(S, T, K)) * 10.0 ** rng.integers(-3, 4)
+        before = points.copy()
+        mirrored = reflect_stack(normals, offsets, pivots, points)
+        assert mirrored.shape == (S, T, K)
+        assert np.array_equal(points, before)
+        for s in range(S):
+            plane = Hyperplane(normals[s], float(offsets[s]), int(pivots[s]))
+            for t in range(T):
+                want = scalar(plane, points[s, t]).tobytes()
+                assert mirrored[s, t].tobytes() == want
+                assert reflect(plane, points[s, t]).tobytes() == want
 
 
 def numeric_sphere_roots(anchors, radii, starts=100, seed=0):

@@ -195,6 +195,14 @@ class TestEdgeViolations:
             assert edge_violations(inst, emb) == want
         assert any(got) and not all(got)
 
+    def test_nan_coordinate_violates_its_edges(self):
+        inst, witness = random_instance(2, 6, 0.0, 7)
+        emb = witness.copy()
+        emb[3, 0] = np.nan
+        bad = edge_violations(inst, emb)
+        assert [e for e, _ in bad] == [e for e in sorted(inst.edges) if 4 in e]
+        assert all(np.isnan(res) for _, res in bad)
+
 
 class TestSerialization:
     def test_round_trip_counterexample(self):

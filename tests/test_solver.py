@@ -4,18 +4,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dgbp.errors import InvalidInstance, NodeBudgetExceeded, TreeDiscarded
-from dgbp.geometry import reflect
+from dgbp.errors import InvalidInstance, NodeBudgetExceeded
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
+from dgbp.errors import ParseError
 from dgbp.solver import (
     SolverOptions,
-    branch_code,
     brute_force,
     parse_result,
     recompute_code,
     serialize_result,
     solve,
 )
+from dgbp.symmetry import verify_orbit
 
 
 def enumerate_line_walks():
@@ -96,35 +96,16 @@ class TestSolveContracts:
             for code, emb in zip(result.branch_codes, result.solutions):
                 assert recompute_code(inst, emb) == code, name
 
-    def test_sibling_pairs_are_reflections(self, corpus):
-        from dgbp.geometry import hyperplane_through
-
-        for name in ("chain_k2_n5", "random_01", "random_06"):
-            result = solve(corpus[name], SolverOptions(keep_tree=True))
-            K = corpus[name].dimension
-            checked = 0
-            for level, nodes in result.tree.levels.items():
-                if level <= K:
-                    continue
-                parents = {id(n.parent): n.parent for n in nodes}
-                for parent in parents.values():
-                    live = [c for c in parent.children if c.feasible]
-                    if len(live) != 2:
-                        continue
-                    plane = hyperplane_through(_path_points(parent, K))
-                    mirrored = reflect(plane, live[0].point)
-                    assert np.max(np.abs(mirrored - live[1].point)) <= 1e-9
-                    checked += 1
-            assert checked > 0, name
-
-    def test_sibling_sides_complementary(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
-        for nodes in result.tree.levels.values():
-            parents = {}
-            for node in nodes:
-                parents.setdefault(id(node.parent), []).append(node)
-            for group in parents.values():
-                assert sorted(n.side for n in group) == [0, 1]
+    def test_keep_tree_is_ignored(self, corpus):
+        for name in ("chain_k2_n5", "random_04", "counterexample_k2"):
+            plain = solve(corpus[name])
+            kept = solve(corpus[name], SolverOptions(keep_tree=True))
+            assert serialize_result(kept) == serialize_result(plain), name
+            assert kept.branch_codes == plain.branch_codes, name
+            kept.stats.wall_time = plain.stats.wall_time
+            assert kept.stats == plain.stats, name
+            assert (verify_orbit(kept).reflection_checks
+                    == verify_orbit(plain).reflection_checks), name
 
     def test_determinism_bit_identical(self, corpus):
         inst = corpus["random_04"]
@@ -164,16 +145,6 @@ class TestSolveContracts:
         assert np.allclose(result.solutions[0], [[0, 0], [1, 0]])
 
 
-def _path_points(node, K):
-    pts = []
-    cur = node
-    while cur is not None and cur.level >= 1 and len(pts) < K:
-        pts.append(cur.point)
-        cur = cur.parent
-    pts.reverse()
-    return np.asarray(pts)
-
-
 class TestTangent:
     def test_tangent_extension_yields_single_child(self):
         # spheres around (0,0) and (2,0) with unit radii touch at (1,0)
@@ -182,14 +153,11 @@ class TestTangent:
             {(1, 2): 2.0, (1, 3): 1.0, (2, 3): 1.0},
             ((0.0, 0.0), (2.0, 0.0)),
         )
-        result = solve(inst, SolverOptions(keep_tree=True))
+        result = solve(inst)
         assert result.solution_count == 1
         assert result.stats.tangent_events == 1
         assert np.allclose(result.solutions[0][2], [1, 0], atol=1e-9)
         assert result.branch_codes == [(0, 0, 0)]
-        level3 = result.tree.levels[3]
-        assert sorted(n.side for n in level3) == [0, 1]
-        assert [n.feasible for n in sorted(level3, key=lambda n: n.side)] == [True, False]
 
 
 class TestBruteForceOracle:
@@ -221,26 +189,11 @@ class TestBruteForceOracle:
 
 
 class TestBranchCode:
-    def test_all_zero_path(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
-        idx = result.branch_codes.index((0, 0, 0, 0, 0))
-        assert branch_code(result, idx) == (0, 0, 0, 0, 0)
-
-    def test_level_five_sibling(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
-        idx = result.branch_codes.index((0, 0, 0, 0, 1))
-        assert branch_code(result, idx) == (0, 0, 0, 0, 1)
-
     def test_first_k_bits_zero(self, corpus):
-        result = solve(corpus["random_06"], SolverOptions(keep_tree=True))
+        result = solve(corpus["random_06"])
         K = corpus["random_06"].dimension
-        for i in range(result.solution_count):
-            assert branch_code(result, i)[:K] == (0,) * K
-
-    def test_tree_discarded(self, chain_k2_n5):
-        result = solve(chain_k2_n5)
-        with pytest.raises(TreeDiscarded):
-            branch_code(result, 0)
+        for code in result.branch_codes:
+            assert code[:K] == (0,) * K
 
 
 class TestResultSerialization:
@@ -255,6 +208,27 @@ class TestResultSerialization:
         for a, b in zip(loaded.solutions, result.solutions):
             assert np.array_equal(a, b)  # 17 digits round-trip exactly
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "x1"])
+    @pytest.mark.parametrize("padding", [[], ["# note", ""]], ids=["plain", "padded"])
+    def test_bad_coordinate_rejected_with_line(self, chain_k2_n5, bad, padding):
+        lines = serialize_result(solve(chain_k2_n5)).splitlines()
+        code = [i for i, line in enumerate(lines) if line.startswith("code ")][1]
+        lines[code + 1 : code + 1] = padding  # blank and comment lines are skipped
+        at = code + len(padding) + 2  # second row of solution 1
+        lines[at] = bad + " " + lines[at].split()[1]
+        with pytest.raises(ParseError) as err:
+            parse_result("\n".join(lines))
+        assert err.value.line == at + 1
+
+    @pytest.mark.parametrize("code", ["0000", "000000", "0"])
+    def test_code_of_wrong_length_rejected_with_line(self, chain_k2_n5, code):
+        lines = serialize_result(solve(chain_k2_n5)).splitlines()
+        at = lines.index("code 00100")
+        lines[at] = "code " + code
+        with pytest.raises(ParseError) as err:
+            parse_result("\n".join(lines))
+        assert err.value.line == at + 1
+
     def test_infeasible_status(self, corpus):
         inst = corpus["random_03"]
         pruning = [(u, v) for (u, v) in inst.edges if v - u > inst.dimension]
@@ -262,14 +236,6 @@ class TestResultSerialization:
         edges[pruning[0]] += 1.0
         result = solve(Instance(inst.dimension, inst.n, edges, inst.initial_embedding))
         assert "status: infeasible" in serialize_result(result)
-
-
-def _code_prefix(node) -> tuple:
-    bits = []
-    while node.level >= 1:
-        bits.append(node.side)
-        node = node.parent
-    return tuple(reversed(bits))
 
 
 @pytest.fixture(scope="module")
@@ -283,25 +249,21 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("cap", [1, 3])
     def test_batch_cap_does_not_change_output(self, cap_instances, monkeypatch, cap):
         def run():
-            out = []
-            for inst in cap_instances:
-                result = solve(inst, SolverOptions(keep_tree=True))
-                levels = {lvl: [(node.side, node.feasible) for node in nodes]
-                          for lvl, nodes in result.tree.levels.items()}
-                out.append((serialize_result(result), levels))
-            return out
+            return [serialize_result(solve(inst)) for inst in cap_instances]
 
         default = run()
         monkeypatch.setattr("dgbp.solver.BATCH_ROWS", cap)
         assert run() == default
 
-    def test_levels_in_code_prefix_order(self, cap_instances):
-        for inst in cap_instances:
-            result = solve(inst, SolverOptions(keep_tree=True))
-            for nodes in result.tree.levels.values():
-                prefixes = [_code_prefix(node) for node in nodes]
-                # strictly increasing: sorted, and siblings side 0 first
-                assert all(a < b for a, b in zip(prefixes, prefixes[1:]))
+    def test_levels_in_code_prefix_order(self, cap_instances, monkeypatch):
+        # batches are expanded in code prefix order at any cap, so the
+        # leaves come out strictly increasing: sorted, side 0 first
+        for cap in (None, 1, 3):
+            if cap is not None:
+                monkeypatch.setattr("dgbp.solver.BATCH_ROWS", cap)
+            for inst in cap_instances:
+                codes = solve(inst).branch_codes
+                assert all(a < b for a, b in zip(codes, codes[1:])), cap
 
     def test_brute_force_independent_of_batch_cap(self, cap_instances, monkeypatch):
         default = [brute_force(inst) for inst in cap_instances]

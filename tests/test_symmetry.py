@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgbp.errors import (
-    AmbiguousSpectrum,
-    NoSiblingBranch,
-    SubtreeNotFull,
-    TreeDiscarded,
-)
+from dgbp.errors import AmbiguousSpectrum, NoSiblingBranch, SubtreeNotFull
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
-from dgbp.solver import SolveResult, SolveStats, SolverOptions, solve
+from dgbp.solver import SolveResult, SolveStats, parse_result, serialize_result, solve
 from dgbp.symmetry import (
+    SPECTRUM_TOL,
+    ReflectionCheck,
     branch_levels,
     branches_both_ways,
     combine_flips,
@@ -96,7 +93,7 @@ class TestBranchLevels:
         assert branch_levels(result) == frozenset({3, 4, 5})
 
     def test_counterexample_readings_disagree(self):
-        result = solve(counterexample(2), SolverOptions(keep_tree=True))
+        result = solve(counterexample(2))
         levels = branch_levels(result)
         assert levels == frozenset({3, 4})
         # some solutions do branch both ways at level 5, so the
@@ -133,7 +130,7 @@ class TestVerifyOrbit:
 
     def test_random_instance_theorem(self):
         inst, _ = random_instance(2, 9, 0.4, 11)
-        result = solve(inst, SolverOptions(keep_tree=True))
+        result = solve(inst)
         report = verify_orbit(result)
         assert report.orbit_verified
         assert report.solution_count == report.group_order
@@ -144,7 +141,7 @@ class TestVerifyOrbit:
         # two tails per K reflect onto a code no solution has: those checks
         # carry no partner, the other ten land on their partner exactly
         for K in range(1, 5):
-            result = solve(counterexample(K), SolverOptions(keep_tree=True))
+            result = solve(counterexample(K))
             checks = verify_orbit(result).reflection_checks
             assert len(checks) == 12
             absent = [c for c in checks if not c.code_matches]
@@ -153,6 +150,28 @@ class TestVerifyOrbit:
                        for c in absent)
             assert all(c.residual <= 1e-9 and c.matched_index >= 0
                        for c in checks if c.code_matches)
+
+    def test_checks_match_per_solution_reflections(self, corpus):
+        # the per-(solution, level) loop over partial_reflection is the
+        # reference for the stacked checks
+        for name in ("chain_k3_n6", "random_04", "random_09", "counterexample_k3"):
+            result = solve(corpus[name])
+            n = len(result.branch_codes[0])
+            index_of = {code: i for i, code in enumerate(result.branch_codes)}
+            want = []
+            for idx, code in enumerate(result.branch_codes):
+                for lvl in sorted(branch_levels(result)):
+                    mirrored = partial_reflection(result, idx, lvl)
+                    partner = index_of.get(xor_bits(code, suffix_flip(lvl, n)), -1)
+                    residual = float("inf") if partner < 0 else float(np.max(
+                        np.linalg.norm(result.solutions[partner] - mirrored, axis=1)))
+                    want.append(ReflectionCheck(idx, lvl, residual, partner >= 0, partner))
+            assert list(verify_orbit(result).reflection_checks) == want, name
+
+    def test_file_result_has_no_reflection_checks(self, chain_k2_n5):
+        result = parse_result(serialize_result(solve(chain_k2_n5)))
+        report = verify_orbit(result)
+        assert report.orbit_verified and report.reflection_checks == ()
 
     @pytest.mark.parametrize("codes, verified", [
         ([(0, 0), (1, 0)], False),  # right size for |I| = 1, not a coset
@@ -208,7 +227,7 @@ class TestVerifyOrbit:
             verify_orbit(result)
 
     def test_report_serialization_mentions_verdicts(self, chain_k2_n5):
-        report = verify_orbit(solve(chain_k2_n5, SolverOptions(keep_tree=True)))
+        report = verify_orbit(solve(chain_k2_n5))
         text = serialize_report(report)
         assert "orbit_verified: true" in text
         assert "power_of_two: true" in text
@@ -217,14 +236,14 @@ class TestVerifyOrbit:
 
 
 def _bare_result(codes):
-    """A solve result holding only codes (no instance, tree or leaves)."""
+    """A solve result holding only codes (no instance)."""
     solutions = [np.zeros((len(codes[0]), 1)) for _ in codes]
-    return SolveResult(None, solutions, list(codes), None, SolveStats(), None)
+    return SolveResult(None, solutions, list(codes), SolveStats())
 
 
 class TestPartialReflection:
     def test_full_tail_flip_on_chain(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
+        result = solve(chain_k2_n5)
         idx = result.branch_codes.index((0, 0, 0, 0, 0))
         mirrored = partial_reflection(result, idx, 3)
         dists = [float(np.max(np.abs(mirrored - s))) for s in result.solutions]
@@ -233,7 +252,7 @@ class TestPartialReflection:
         assert result.branch_codes[j] == (0, 0, 1, 1, 1)
 
     def test_involution(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
+        result = solve(chain_k2_n5)
         y = result.solutions[0]
         once = partial_reflection(result, 0, 4)
         # reflect the reflected tail back across the same anchors (they are
@@ -250,7 +269,7 @@ class TestPartialReflection:
     def test_valid_on_random_instances(self):
         for seed in (21, 22):
             inst, _ = random_instance(2, 8, 0.3, seed)
-            result = solve(inst, SolverOptions(keep_tree=True))
+            result = solve(inst)
             levels = branch_levels(result)
             for idx in range(result.solution_count):
                 for lvl in sorted(levels):
@@ -263,48 +282,59 @@ class TestPartialReflection:
                     assert result.branch_codes[j] == want
 
     def test_requires_branching(self):
-        result = solve(counterexample(2), SolverOptions(keep_tree=True))
+        result = solve(counterexample(2))
         blocked = [i for i in range(6) if not branches_both_ways(result, i, 5)]
         assert len(blocked) == 2
         with pytest.raises(NoSiblingBranch):
             partial_reflection(result, blocked[0], 5)
 
-    def test_requires_tree(self, chain_k2_n5):
-        result = solve(chain_k2_n5)
-        with pytest.raises(TreeDiscarded):
-            partial_reflection(result, 0, 3)
-
     def test_vertex_range_checked(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
+        result = solve(chain_k2_n5)
         with pytest.raises(ValueError):
             partial_reflection(result, 0, 2)  # seeded vertex, no branch choice
 
 
 class TestDistanceSpectrum:
     def test_two_then_four_clusters_k2(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
+        result = solve(chain_k2_n5)
         assert len(distance_spectrum(result, 1, 4)) == 2
         assert len(distance_spectrum(result, 1, 5)) == 4
 
     def test_two_then_four_clusters_k3(self, chain_k3_n6):
-        result = solve(chain_k3_n6, SolverOptions(keep_tree=True))
+        result = solve(chain_k3_n6)
         assert len(distance_spectrum(result, 1, 5)) == 2
         assert len(distance_spectrum(result, 1, 6)) == 4
 
-    def test_requires_tree(self, chain_k2_n5):
-        result = solve(chain_k2_n5)
-        with pytest.raises(TreeDiscarded):
+    def test_requires_instance(self, chain_k2_n5):
+        result = parse_result(serialize_result(solve(chain_k2_n5)))
+        with pytest.raises(ValueError):
             distance_spectrum(result, 1, 4)
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_matches_reference_from_solutions(self, K):
+        result = solve(random_instance(K, K + 6, 0.0, 600 + K)[0])
+        compared = 0
+        for u in range(1, K + 7):
+            for v in range(u + K + 1, K + 7):
+                want = _reference_spectrum(result, u, v)
+                if want is None:
+                    with pytest.raises(AmbiguousSpectrum):
+                        distance_spectrum(result, u, v)
+                    continue
+                got = distance_spectrum(result, u, v)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (u, v)
+                compared += 1
+        assert compared
+
     def test_requires_span_beyond_window(self, chain_k2_n5):
-        result = solve(chain_k2_n5, SolverOptions(keep_tree=True))
+        result = solve(chain_k2_n5)
         with pytest.raises(ValueError):
             distance_spectrum(result, 1, 3)
 
     def test_pruned_subtree_rejected(self):
         inst, _ = random_instance(2, 8, 0.5, 103)
         assert any(v - u > 2 for (u, v) in inst.edges)
-        result = solve(inst, SolverOptions(keep_tree=True))
+        result = solve(inst)
         with pytest.raises(SubtreeNotFull):
             distance_spectrum(result, 1, 8)
 
@@ -319,7 +349,7 @@ class TestDistanceSpectrum:
             {e: d for e, d in inst.edges.items() if e not in long_edges},
             inst.initial_embedding,
         )
-        free = solve(stripped, SolverOptions(keep_tree=True))
+        free = solve(stripped)
         for (u, v) in long_edges:
             try:
                 spectrum = distance_spectrum(free, u, v)
@@ -327,3 +357,30 @@ class TestDistanceSpectrum:
                 continue
             gap = min(abs(r - inst.edges[(u, v)]) for r in spectrum)
             assert gap <= 1e-6
+
+
+def _reference_spectrum(result, u, v):
+    """Spectrum of a full tree read off its solutions; None when ambiguous.
+
+    On a tree with no pruning the leftmost level-u node lies on the path of
+    the first solution, and its level-v descendants are the distinct
+    v-prefixes of the solutions sharing its u-prefix.
+    """
+    root = result.branch_codes[0][:u]
+    anchor = result.solutions[0][u - 1]
+    points = {}
+    for code, sol in zip(result.branch_codes, result.solutions):
+        if code[:u] == root:
+            points.setdefault(code[:v], sol[v - 1])
+    dists = sorted(float(np.linalg.norm(p - anchor)) for p in points.values())
+    tol = SPECTRUM_TOL * max(result.instance.edges.values())
+    clusters = [[dists[0]]]
+    for d in dists[1:]:
+        if d - clusters[-1][-1] > tol:
+            clusters.append([d])
+        else:
+            clusters[-1].append(d)
+    reps = tuple(sum(c) / len(c) for c in clusters)
+    if any(b - a < 10.0 * tol for a, b in zip(reps, reps[1:])):
+        return None
+    return reps
