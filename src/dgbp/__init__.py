@@ -60,6 +60,7 @@ from .solver import (
     brute_force,
     parse_result,
     recompute_code,
+    recompute_codes,
     serialize_result,
     solve,
 )

@@ -36,7 +36,7 @@ from .solver import (
     SolverOptions,
     brute_force,
     parse_result,
-    recompute_code,
+    recompute_codes,
     serialize_result,
     solve,
 )
@@ -279,8 +279,9 @@ def cmd_verify(args, command: str) -> int:
         if inst.n - inst.dimension > 24:
             _say("oracle comparison beyond the exhaustive budget")
             return EXIT_BUDGET
-        oracle = brute_force(inst, args.atol, args.rtol)
-        oracle_codes = {recompute_code(inst, emb) for emb in oracle}
+        oracle = np.reshape(brute_force(inst, args.atol, args.rtol),
+                            (-1, inst.n, inst.dimension))
+        oracle_codes = set(recompute_codes(inst, oracle))
         if oracle_codes != set(result.branch_codes):
             _say(f"oracle found {len(oracle_codes)} codes, result has "
                  f"{len(set(result.branch_codes))}")

@@ -29,11 +29,12 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegenerateSpan,
+    DimensionMismatch,
     InvalidInstance,
     NodeBudgetExceeded,
     ParseError,
 )
-from .geometry import extend_stack, hyperplane_through, row_dots
+from .geometry import _anchor_planes, extend_stack, row_dots
 from .instance import Instance, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
@@ -269,17 +270,36 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     return result
 
 
-def recompute_code(inst: Instance, embedding) -> tuple:
-    """Re-derive the side bits of an embedding from its coordinates alone."""
-    emb = np.asarray(embedding, dtype=float)
+def recompute_codes(inst: Instance, stack) -> list:
+    """Re-derive the side bits of S embeddings (S, n, K) from their coordinates alone.
+
+    Level by level, one :func:`_anchor_planes` call places the anchor plane
+    of every embedding, oriented by the embedding's normal at the level
+    before, as the search chains them.  Returns the codes as length-n
+    tuples, in the order of the stack; each is the code
+    :func:`recompute_code` gives for that embedding.
+    """
+    X = np.asarray(stack, dtype=float)
     K, n = inst.dimension, inst.n
-    bits = [0] * K
-    prev_normal = None
+    if X.ndim != 3 or X.shape[1:] != (n, K):
+        raise DimensionMismatch(f"expected embeddings of shape {(n, K)}, got stack {X.shape}")
+    bits = np.zeros((len(X), n), dtype=np.int8)
+    normals = None
     for level in range(K + 1, n + 1):
-        plane = hyperplane_through(emb[level - 1 - K : level - 1], reference=prev_normal)
-        bits.append(plane.side(emb[level - 1]))
-        prev_normal = plane.normal
-    return tuple(bits)
+        normals, offsets, _, _ = _anchor_planes(X[:, level - 1 - K : level - 1], normals)
+        # Hyperplane.side: 0 on or behind the plane, 1 otherwise (see row_dots
+        # for the contiguous copy).
+        along = row_dots(normals, np.ascontiguousarray(X[:, level - 1]))
+        bits[:, level - 1] = ~(along - offsets <= 0.0)
+    return list(map(tuple, bits.tolist()))
+
+
+def recompute_code(inst: Instance, embedding) -> tuple:
+    """Re-derive the side bits of an embedding from its coordinates alone.
+
+    The batch-of-one form of :func:`recompute_codes`.
+    """
+    return recompute_codes(inst, np.asarray(embedding, dtype=float)[None])[0]
 
 
 def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
@@ -370,95 +390,177 @@ def serialize_result(result: SolveResult) -> str:
 def parse_result(text: str) -> SolveResult:
     """Parse :func:`serialize_result` output (the instance is None).
 
-    Raises a line-numbered ParseError for a code whose length is not n and
-    for a coordinate that is not a finite number.
+    Blank lines and ``#`` comment lines may stand anywhere, and fields are
+    separated by any run of whitespace.  The header is read line by line up
+    to the ``solutions:`` line; the solution block is then read in bulk (see
+    ``_read_solutions``).  Only when a bulk check fails does the line loop
+    read the block, to name the line of the error: it raises a line-numbered
+    ParseError for a malformed field or histogram row, a code whose length
+    is not n and a coordinate that is not a finite number.
     """
-    stats = SolveStats()
-    K = n = None
-    count = None
-    solutions: list = []
-    codes: list = []
-    mode = None
-    current: list | None = None
-    code_lines: list = []
-    int_fields = {
-        "solution_count", "nodes_feasible", "nodes_infeasible",
-        "candidates_pruned", "empty_extensions", "tangent_events",
-    }
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = text.splitlines()
+    reader = _LineReader()
+    body = reader.read(lines, 0, until_solutions=True)
+    bulk = _read_solutions(lines[body:], reader.K, reader.n, reader.count)
+    if bulk is None:
+        reader.read(lines, body)
+        return reader.result(text)
+    stack, codes = bulk
+    return SolveResult(None, list(stack), codes, reader.stats)
+
+
+_INT_FIELDS = frozenset({
+    "solution_count", "nodes_feasible", "nodes_infeasible",
+    "candidates_pruned", "empty_extensions", "tangent_events",
+})
+
+
+class _LineReader:
+    """The grammar of a result file, applied one line at a time."""
+
+    def __init__(self):
+        self.stats = SolveStats()
+        self.K = self.n = self.count = None
+        self.mode = None
+        self.solutions: list = []
+        self.codes: list = []
+        self.code_lines: list = []
+        self.current: list | None = None
+
+    def read(self, lines: list, start: int, until_solutions: bool = False) -> int:
+        """Feed ``lines[start:]``, skipping blank and comment lines.
+
+        With ``until_solutions``, stops after the ``solutions:`` line and
+        returns its index plus one; otherwise returns ``len(lines)``.
+        """
+        for lineno, raw in enumerate(itertools.islice(lines, start, None), start + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            self.feed(line, lineno)
+            if until_solutions and self.mode == "solutions":
+                return lineno
+        return len(lines)
+
+    def feed(self, line: str, lineno: int) -> None:
         if line.startswith("code "):
-            if mode != "solutions":
+            if self.mode != "solutions":
                 raise ParseError("'code' line outside solutions block", lineno)
             bits = line[5:].strip()
             if not bits or set(bits) - {"0", "1"}:
                 raise ParseError(f"bad code {bits!r}", lineno)
-            if n is None or len(bits) != n:
-                raise ParseError(f"code of length {len(bits)}, expected n = {n}", lineno)
-            codes.append(tuple(int(b) for b in bits))
-            code_lines.append(lineno)
-            current = []
-            solutions.append(current)
-            continue
-        if ":" in line and mode != "solutions":
+            if self.n is None or len(bits) != self.n:
+                raise ParseError(f"code of length {len(bits)}, expected n = {self.n}", lineno)
+            self.codes.append(tuple(int(b) for b in bits))
+            self.code_lines.append(lineno)
+            self.current = []
+            self.solutions.append(self.current)
+        elif ":" in line and self.mode != "solutions":
             key, _, rest = line.partition(":")
-            key, rest = key.strip(), rest.strip()
-            if key == "format":
-                if not rest.startswith("dgp-result"):
-                    raise ParseError(f"not a result file (format {rest!r})", lineno)
-            elif key == "status":
-                stats.budget_exceeded = rest == "budget-exceeded"
-            elif key == "dimension":
-                K = int(rest)
-            elif key == "n":
-                n = int(rest)
-            elif key in int_fields:
-                value = int(rest)
-                if key == "solution_count":
-                    count = value
-                else:
-                    setattr(stats, key, value)
-            elif key == "max_window_residual":
-                stats.max_window_residual = float(rest)
-            elif key == "child_hist":
-                mode = "hist"
-            elif key == "solutions":
-                mode = "solutions"
-            else:
-                raise ParseError(f"unknown field {key!r}", lineno)
-            continue
-        if mode == "hist":
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"bad histogram line {line!r}", lineno)
-            lvl, c0, c1, c2 = (int(p) for p in parts)
-            stats.child_hist[lvl] = [c0, c1, c2]
-        elif mode == "solutions":
-            if current is None:
+            self.field(key.strip(), rest.strip(), lineno)
+        elif self.mode == "hist":
+            try:
+                lvl, c0, c1, c2 = map(int, line.split())  # ValueError unless 4 ints
+            except ValueError:
+                raise ParseError(f"bad histogram line {line!r}", lineno) from None
+            self.stats.child_hist[lvl] = [c0, c1, c2]
+        elif self.mode == "solutions":
+            if self.current is None:
                 raise ParseError("coordinate row before any 'code' line", lineno)
             parts = line.split()
-            if K is None or len(parts) != K:
-                raise ParseError(f"expected {K} coordinates, got {len(parts)}", lineno)
+            if self.K is None or len(parts) != self.K:
+                raise ParseError(f"expected {self.K} coordinates, got {len(parts)}", lineno)
             try:
-                current.append([float(p) for p in parts])
+                self.current.append([float(p) for p in parts])
             except ValueError:
                 raise ParseError(f"bad coordinate in {line!r}", lineno) from None
         else:
             raise ParseError(f"unexpected line {line!r}", lineno)
-    if K is None or n is None or count is None:
-        raise ParseError("missing required result fields")
-    if len(solutions) != count:
-        raise ParseError(f"solution_count says {count}, file has {len(solutions)}")
-    for rows in solutions:
-        if len(rows) != n:
-            raise ParseError(f"solution has {len(rows)} rows, expected {n}")
-    stack = np.asarray(solutions, dtype=float)  # (S, n, K): every shape was checked
-    if solutions and not np.isfinite(stack).all():
-        index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
-        raise ParseError("non-finite coordinate", _row_line(text, code_lines[index], row))
-    return SolveResult(None, list(stack), codes, stats)
+
+    def field(self, key: str, rest: str, lineno: int) -> None:
+        if key == "format":
+            if not rest.startswith("dgp-result"):
+                raise ParseError(f"not a result file (format {rest!r})", lineno)
+        elif key == "status":
+            self.stats.budget_exceeded = rest == "budget-exceeded"
+        elif key in ("child_hist", "solutions"):
+            self.mode = "hist" if key == "child_hist" else "solutions"
+        elif key in ("dimension", "n", "max_window_residual") or key in _INT_FIELDS:
+            try:
+                value = float(rest) if key == "max_window_residual" else int(rest)
+            except ValueError:
+                raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
+            if key == "dimension":
+                self.K = value
+            elif key == "n":
+                self.n = value
+            elif key == "solution_count":
+                self.count = value
+            else:
+                setattr(self.stats, key, value)
+        else:
+            raise ParseError(f"unknown field {key!r}", lineno)
+
+    def result(self, text: str) -> SolveResult:
+        K, n, count, solutions = self.K, self.n, self.count, self.solutions
+        if K is None or n is None or count is None:
+            raise ParseError("missing required result fields")
+        if len(solutions) != count:
+            raise ParseError(f"solution_count says {count}, file has {len(solutions)}")
+        for rows in solutions:
+            if len(rows) != n:
+                raise ParseError(f"solution has {len(rows)} rows, expected {n}")
+        stack = np.asarray(solutions, dtype=float)  # (S, n, K): every shape was checked
+        if solutions and not np.isfinite(stack).all():
+            index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
+            raise ParseError("non-finite coordinate",
+                             _row_line(text, self.code_lines[index], row))
+        return SolveResult(None, list(stack), self.codes, self.stats)
+
+
+def _read_solutions(body: list, K, n, count):
+    """Bulk read of the lines after ``solutions:``: ``(stack, codes)`` or None.
+
+    Once blank and comment lines are dropped, the body must hold ``count`` blocks of
+    one ``code`` line and n coordinate lines, so the code lines are taken by
+    stride n + 1.  Their bits are checked in one buffer.  The coordinate
+    lines are joined with a ``;`` token after each line and split once.
+    Every line holds K tokens iff every (K+1)-th token is a ``;``, that is
+    iff no ``;`` is left once those are dropped: the float conversion of the
+    rest checks that.  Python's ``float`` reads the tokens, so the values
+    are those of the line loop.  Returns None, and leaves naming the error
+    to the line loop, when any check fails.
+    """
+    if K is None or n is None or count is None or K < 1 or n < 1:
+        return None
+    kept = [line for line in map(str.strip, body) if line and line[0] != "#"]
+    if len(kept) != count * (n + 1):
+        return None
+    heads = kept[:: n + 1]
+    if not all(head.startswith("code ") for head in heads):
+        return None
+    bits = [head[5:].lstrip() for head in heads]
+    if any(len(b) != n for b in bits):
+        return None
+    try:
+        flat = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    if ((flat != ord("0")) & (flat != ord("1"))).any():
+        return None
+    del kept[:: n + 1]
+    tokens = " ; ".join([*kept, ""]).split()
+    if len(tokens) != len(kept) * (K + 1):
+        return None
+    del tokens[K :: K + 1]
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    codes = (flat - ord("0")).reshape(count, n)
+    return values.reshape(count, n, K), list(map(tuple, codes.tolist()))
 
 
 def _row_line(text: str, code_line: int, row: int) -> int:

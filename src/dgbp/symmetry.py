@@ -85,20 +85,34 @@ def branch_levels(result) -> frozenset:
     set extends with both a 0 and a 1 bit, i.e. every feasible node at level
     i-1 that lies on a path to a feasible leaf has two children that each
     reach a feasible leaf.  Levels where some prefixes split and others do
-    not (possible only on degenerate instances) are excluded.
+    not (possible only on degenerate instances) are excluded.  ``result``
+    may also be a list of equal-length codes or an (S, n) code matrix.
+
+    With the distinct codes sorted, the codes sharing their first i-1 bits
+    form a run, which splits at level i iff its first code has bit 0 there
+    and its last code bit 1.
     """
-    codes = list(result.branch_codes) if hasattr(result, "branch_codes") else list(result)
-    if not codes:
+    codes = getattr(result, "branch_codes", result)
+    if len(codes) == 0:
         return frozenset()
-    n = len(codes[0])
-    out = set()
-    for i in range(1, n + 1):
-        groups: dict = {}
-        for code in codes:
-            groups.setdefault(code[: i - 1], set()).add(code[i - 1])
-        if all(bits == {0, 1} for bits in groups.values()):
-            out.add(i)
-    return frozenset(out)
+    sorted_codes = _distinct_sorted(codes)
+    n = sorted_codes.shape[1]
+    # Column where each code first differs from the one before; a run of
+    # length-c prefixes starts at a row whose column is < c (row 0 always)
+    # and ends before the next such row (the last row always).
+    first = np.concatenate([[-1], (sorted_codes[1:] != sorted_codes[:-1]).argmax(1), [-1]])
+    cols = np.arange(n)
+    starts = first[:-1, None] < cols
+    ends = first[1:, None] < cols
+    split = ~((starts & (sorted_codes == 1)) | (ends & (sorted_codes == 0))).any(0)
+    return frozenset((np.flatnonzero(split) + 1).tolist())
+
+
+def _distinct_sorted(codes) -> np.ndarray:
+    """The distinct codes as an (m, n) int8 matrix in lexicographic order."""
+    matrix = np.array(codes, dtype=np.int8)
+    matrix = matrix[np.lexsort(matrix.T[::-1])]
+    return matrix[np.r_[True, (matrix[1:] != matrix[:-1]).any(1)]]
 
 
 def branches_both_ways(result, index: int, vertex: int) -> bool:
@@ -189,7 +203,7 @@ def verify_orbit(result) -> SymmetryReport:
     the solution count with that order.  Both verdicts are reported, not
     raised: on generic instances they hold, on degenerate ones (flagged via
     the mixed-children diagnostic or tangent events) they are expected to
-    fail.  This test is linear in the total code length.
+    fail.  Both tests read the distinct codes as a sorted bit matrix.
 
     When the result carries its instance, as every :func:`solve` result
     does, every (solution, level in I) pair is additionally checked against
@@ -201,13 +215,15 @@ def verify_orbit(result) -> SymmetryReport:
     codes = list(result.branch_codes)
     if not codes:
         raise ValueError("orbit verification needs at least one solution")
-    n = len(codes[0])
-    levels = branch_levels(result)
+    distinct = _distinct_sorted(codes)
+    n = distinct.shape[1]
+    levels = branch_levels(distinct)
     gens = tuple(suffix_flip(i, n) for i in sorted(levels))
     group_order = 2 ** len(levels)
-    base = min(codes)
-    orbit_verified = len(set(codes)) == group_order and all(
-        _in_flip_span(xor_bits(code, base), levels) for code in codes)
+    moves = np.diff(distinct ^ distinct[0], axis=1, prepend=0) != 0
+    fixed = np.ones(n, dtype=bool)
+    fixed[[i - 1 for i in levels]] = False
+    orbit_verified = len(distinct) == group_order and not moves[:, fixed].any()
     power_of_two = len(result.solutions) == group_order
 
     stats = getattr(result, "stats", None)
@@ -262,16 +278,6 @@ def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
                         matched_index=partners[j][idx])
         for idx in range(len(keys)) for j, lvl in enumerate(levels)
     ]
-
-
-def _in_flip_span(diff: tuple, levels) -> bool:
-    """Is ``diff`` an XOR of suffix flips at ``levels``?"""
-    prev = 0
-    for level, bit in enumerate(diff, start=1):
-        if bit != prev and level not in levels:
-            return False
-        prev = bit
-    return True
 
 
 def distance_spectrum(result, u: int, v: int) -> tuple:

@@ -23,7 +23,7 @@ from dgbp.geometry import (
     reflect,
 )
 from dgbp.instance import counterexample, random_instance
-from dgbp.solver import brute_force, recompute_code, solve
+from dgbp.solver import brute_force, recompute_code, recompute_codes, solve
 from dgbp.symmetry import (
     branch_levels,
     combine_flips,
@@ -133,6 +133,37 @@ def test_criterion_5_oracle_equivalence():
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 5 PASS: solver matches exhaustive oracle on "
           f"{len(corpus)} fixtures ({elapsed:.2f}s)")
+
+
+def codes_by_planes(inst, embedding):
+    """Side bits of one embedding, one hyperplane_through per level, each
+    oriented by the normal of the level before."""
+    K = inst.dimension
+    bits, normal = [0] * K, None
+    for level in range(K + 1, inst.n + 1):
+        plane = hyperplane_through(embedding[level - 1 - K : level - 1], reference=normal)
+        bits.append(plane.side(embedding[level - 1]))
+        normal = plane.normal
+    return tuple(bits)
+
+
+def test_stacked_code_recomputation(batch_results):
+    # recompute_codes (one anchor-plane call per level for the whole stack)
+    # gives the per-embedding codes, on the oracle's embeddings of the
+    # counterexample family and on the solutions of the seeded batch
+    rows = 0
+    for K in (1, 2, 3, 4):
+        inst = counterexample(K)
+        stack = np.asarray(brute_force(inst))
+        want = [codes_by_planes(inst, emb) for emb in stack]
+        assert recompute_codes(inst, stack) == want
+        assert [recompute_code(inst, emb) for emb in stack] == want  # batch of one
+        rows += len(stack)
+    for inst, result in batch_results:
+        stack = np.asarray(result.solutions)
+        assert recompute_codes(inst, stack) == [codes_by_planes(inst, emb) for emb in stack]
+        rows += len(stack)
+    print(f"stacked code recomputation matches the per-embedding planes on {rows} embeddings")
 
 
 def test_criterion_6_distance_spectra():

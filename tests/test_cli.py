@@ -191,6 +191,22 @@ class TestVerify:
             "solution 0: edge {1, 2}", "solution 0: edge {1, 3}"]
 
 
+def first_solution(edit):
+    """Damage: ``edit`` rewrites the first code line and the row after it."""
+    def damage(lines):
+        at = next(i for i, line in enumerate(lines) if line.startswith("code "))
+        lines[at : at + 2] = edit(lines[at], lines[at + 1])
+    return damage
+
+
+def header_line(prefix, new):
+    """Damage: the first line starting with ``prefix`` becomes ``new``."""
+    def damage(lines):
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[at] = new + "\n"
+    return damage
+
+
 class TestMalformedResult:
     """A damaged result file is invalid input (exit 3) to analyze and verify."""
 
@@ -199,17 +215,19 @@ class TestMalformedResult:
         res = tmp_path / "res.txt"
         main(["solve", str(fixture_path("chain_k2_n5")), "--out", str(res)])
         lines = read(res).splitlines(keepends=True)
-        at = next(i for i, line in enumerate(lines) if line.startswith("code "))
-        lines[at : at + 2] = damage(lines[at], lines[at + 1])
+        damage(lines)
         path = tmp_path / "damaged.txt"
         path.write_text("".join(lines))
         return path
 
     @pytest.mark.parametrize("damage", [
-        lambda code, row: [code, "nan " + row.split()[1] + "\n"],
-        lambda code, row: ["code 0000\n", row],
-        lambda code, row: [code, "x1 " + row.split()[1] + "\n"],
-    ], ids=["nan", "short-code", "not-a-number"])
+        first_solution(lambda code, row: [code, "nan " + row.split()[1] + "\n"]),
+        first_solution(lambda code, row: ["code 0000\n", row]),
+        first_solution(lambda code, row: [code, "x1 " + row.split()[1] + "\n"]),
+        header_line("n: ", "n: five"),
+        header_line("1 0 1 0", "1 0 x 0"),
+        header_line("max_window_residual: ", "max_window_residual: abc"),
+    ], ids=["nan", "short-code", "not-a-number", "header-int", "hist-row", "header-float"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, damage):
         path = self.damaged(tmp_path, damage)
         capsys.readouterr()

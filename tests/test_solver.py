@@ -1,17 +1,22 @@
 import logging
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgbp.errors import InvalidInstance, NodeBudgetExceeded
+from dgbp.errors import DimensionMismatch, InvalidInstance, NodeBudgetExceeded
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
 from dgbp.errors import ParseError
 from dgbp.solver import (
     SolverOptions,
+    _LineReader,
+    _read_solutions,
     brute_force,
     parse_result,
     recompute_code,
+    recompute_codes,
     serialize_result,
     solve,
 )
@@ -176,6 +181,14 @@ class TestBruteForceOracle:
         oracle_codes = {recompute_code(inst, emb) for emb in oracle}
         assert oracle_codes == set(result.branch_codes)
 
+    def test_recompute_codes_checks_shape(self, chain_k2_n5):
+        result = solve(chain_k2_n5)
+        stack = np.asarray(result.solutions)
+        assert recompute_codes(chain_k2_n5, stack) == result.branch_codes
+        for bad in (stack[:, :-1], stack[..., :1], stack[0]):
+            with pytest.raises(DimensionMismatch):
+                recompute_codes(chain_k2_n5, bad)
+
     def test_unsatisfiable_pruning_edge_is_infeasible(self, corpus):
         inst = corpus["random_03"]
         pruning = [(u, v) for (u, v) in inst.edges if v - u > inst.dimension]
@@ -198,15 +211,17 @@ class TestBranchCode:
 
 class TestResultSerialization:
     def test_round_trip(self, corpus):
-        inst = corpus["random_02"]
-        result = solve(inst)
-        text = serialize_result(result)
-        loaded = parse_result(text)
-        assert loaded.branch_codes == result.branch_codes
-        assert loaded.stats.child_hist == result.stats.child_hist
-        assert loaded.stats.tangent_events == result.stats.tangent_events
-        for a, b in zip(loaded.solutions, result.solutions):
-            assert np.array_equal(a, b)  # 17 digits round-trip exactly
+        # every fixture, and a full tree of 1,024 solutions
+        full_tree = random_instance(2, 12, 0.0, 12)[0]
+        for name, inst in [*sorted(corpus.items()), ("full_tree_k2_n12", full_tree)]:
+            result = solve(inst)
+            loaded = parse_result(serialize_result(result))
+            assert loaded.branch_codes == result.branch_codes, name
+            assert loaded.stats == replace(result.stats, wall_time=0.0), name
+            # 17 digits round-trip exactly
+            assert len(loaded.solutions) == result.solution_count, name
+            assert (np.asarray(loaded.solutions).tobytes()
+                    == np.asarray(result.solutions).tobytes()), name
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "x1"])
     @pytest.mark.parametrize("padding", [[], ["# note", ""]], ids=["plain", "padded"])
@@ -236,6 +251,99 @@ class TestResultSerialization:
         edges[pruning[0]] += 1.0
         result = solve(Instance(inst.dimension, inst.n, edges, inst.initial_embedding))
         assert "status: infeasible" in serialize_result(result)
+
+
+@pytest.fixture(scope="module")
+def small_results():
+    """Serialized results of small random instances, K = 1..4."""
+    return [serialize_result(solve(random_instance(K, K + 4, p, 900 + 10 * K + seed)[0]))
+            for K in (1, 2, 3, 4) for seed, p in enumerate((0.0, 0.3, 0.6))]
+
+
+def line_loop(text):
+    """parse_result by the line loop alone, the reference for the bulk read."""
+    reader = _LineReader()
+    reader.read(text.splitlines(), 0)
+    return reader.result(text)
+
+
+def outcome(parse, text):
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    stack = np.asarray(result.solutions)
+    return "ok", stack.shape, stack.tobytes(), result.branch_codes, result.stats
+
+
+LAYOUTS = ("blank", "comment", "tabs", "double-spaces", "trailing", "code-spaces")
+DAMAGES = ("nan", "x", "1_0", "", "bit-2", "drop-row", "move-token", "long-row",
+           "move-bit", "code-tab")
+
+
+class TestBulkRead:
+    """parse_result against the line loop, on laid-out and damaged files."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_line_loop(self, small_results, data):
+        lines = data.draw(st.sampled_from(small_results)).splitlines()
+        body = lines.index("solutions:") + 1
+        damages = data.draw(st.lists(st.sampled_from(DAMAGES), max_size=2))
+        layouts = data.draw(st.lists(st.sampled_from(LAYOUTS), max_size=6))
+        for change in damages + layouts:
+            codes = [i for i in range(body, len(lines)) if lines[i].startswith("code ")]
+            rows = [i for i in range(body, len(lines))
+                    if lines[i] and not lines[i].startswith(("code ", "#"))]
+            at = data.draw(st.integers(0, len(lines)))
+            if change in ("blank", "comment"):
+                lines.insert(at, "" if change == "blank" else "# note")
+            elif change == "trailing":
+                lines[at % len(lines)] += " \t "
+            elif not rows:
+                continue
+            elif change in ("tabs", "double-spaces"):
+                row = rows[at % len(rows)]
+                lines[row] = ("\t" if change == "tabs" else "  ").join(lines[row].split())
+            elif change == "code-spaces":
+                code = codes[at % len(codes)]
+                lines[code] = "code  \t" + lines[code][5:]
+            elif change == "drop-row":
+                del lines[rows[at % len(rows)]]
+            elif change == "move-token":
+                # the token count stays right, the count per row does not
+                row, to = rows[at % len(rows)], data.draw(st.sampled_from(rows))
+                token, _, lines[row] = lines[row].partition(" ")
+                lines[to] += " " + token
+            elif change == "long-row":
+                # 2K+1 tokens: the row holds the next row's slot
+                lines[rows[at % len(rows)]] += " 0.5" * (len(lines[rows[0]].split()) + 1)
+            elif change == "move-bit":
+                # the bit count stays right, the length per code does not
+                code, to = codes[at % len(codes)], data.draw(st.sampled_from(codes))
+                bit = lines[code][-1]
+                lines[code] = lines[code][:-1]
+                lines[to] += bit
+            elif change == "code-tab":
+                code = codes[at % len(codes)]
+                lines[code] = "code\t" + lines[code][5:]
+            elif change == "bit-2":
+                code = codes[at % len(codes)]
+                bit = data.draw(st.integers(5, len(lines[code]) - 1))
+                lines[code] = lines[code][:bit] + "2" + lines[code][bit + 1 :]
+            else:
+                row = rows[at % len(rows)]
+                parts = lines[row].split()
+                parts[data.draw(st.integers(0, len(parts) - 1))] = change
+                lines[row] = " ".join(parts)
+        text = ("\r\n" if data.draw(st.booleans()) else "\n").join(lines)
+        assert outcome(parse_result, text) == outcome(line_loop, text)
+        if not damages:
+            # layout alone never sends the read to the line loop
+            split = text.splitlines()
+            reader = _LineReader()
+            start = reader.read(split, 0, until_solutions=True)
+            assert _read_solutions(split[start:], reader.K, reader.n, reader.count)
 
 
 @pytest.fixture(scope="module")

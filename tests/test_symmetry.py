@@ -105,6 +105,26 @@ class TestBranchLevels:
     def test_empty_codes(self):
         assert branch_levels([]) == frozenset()
 
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_prefix_reference(self, data):
+        # the sorted-matrix reading against the definition, on cosets of
+        # random flip subgroups with a few codes toggled, shuffled and
+        # with repeats
+        n = data.draw(st.integers(1, 7))
+        bits = st.tuples(*[st.integers(0, 1)] * n)
+        levels = data.draw(st.sets(st.integers(1, n)))
+        coset = {xor_bits(data.draw(bits), g)
+                 for g in span_flips([suffix_flip(i, n) for i in levels], n)}
+        codes = sorted(coset ^ data.draw(st.sets(bits, max_size=3))) or sorted(coset)
+        codes = data.draw(st.permutations(codes + codes[: data.draw(st.integers(0, 2))]))
+        want = frozenset(
+            i for i in range(1, n + 1)
+            if all({c[i - 1] for c in codes if c[: i - 1] == p[: i - 1]} == {0, 1}
+                   for p in codes))
+        assert branch_levels(codes) == want
+        assert branch_levels(np.array(codes, dtype=np.int8)) == want
+
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_count_matches_group_order(self, seed):
         inst, _ = random_instance(2, 9, 0.4, seed)
