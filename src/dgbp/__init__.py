@@ -17,7 +17,6 @@ from .errors import (
     DgbpError,
     DimensionMismatch,
     GenericityFailure,
-    GroupTooLarge,
     InvalidInstance,
     NegativeDeterminant,
     NodeBudgetExceeded,
@@ -69,14 +68,11 @@ from .symmetry import (
     SymmetryReport,
     branch_levels,
     branches_both_ways,
-    combine_flips,
     distance_spectrum,
     partial_reflection,
     serialize_report,
-    span_flips,
     suffix_flip,
     verify_orbit,
-    xor_bits,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -51,10 +51,6 @@ class BudgetExceeded(DgbpError, RuntimeError):
     """The requested exhaustive computation is beyond the hard size cap."""
 
 
-class GroupTooLarge(DgbpError, RuntimeError):
-    """Refusing to materialise a group with more than 2**24 elements."""
-
-
 class NoSiblingBranch(DgbpError, ValueError):
     """The solution's search path does not branch both ways at this vertex."""
 

@@ -28,13 +28,18 @@ from .errors import DegenerateSpan, DimensionMismatch, NegativeDeterminant
 #: canonical orientation, orientation ties).
 EPS_NORMAL = 1e-12
 
-#: Normalised simplex-volume threshold under which an anchor set is treated
-#: as degenerate.
-EPS_RANK = 1e-12
+#: The one definition of degeneracy: a dim-simplex of volume V is flat
+#: against a length L iff V**2 <= EPS_FLAT * L**(2*dim) (see _flat).
+EPS_FLAT = 1e-13
 
 #: Tangency band: a raw discriminant within +/- DISC_CLAMP * (max radius)**2
 #: is treated as zero.
 DISC_CLAMP = 1e-12
+
+
+def _flat(squared_volume, squared_length, dim: int):
+    """Elementwise V**2 <= EPS_FLAT * L**(2*dim), from V**2 and L**2: scale-free."""
+    return squared_volume <= EPS_FLAT * squared_length**dim
 
 
 def cayley_menger_volume(sq_dists, dim: int) -> float:
@@ -45,9 +50,10 @@ def cayley_menger_volume(sq_dists, dim: int) -> float:
     coordinates, so the test applies equally to edge-weighted cliques.  The
     0-simplex (a single point) has volume 1 by convention.
 
-    Returns 0.0 for flat (degenerate) configurations.  Raises
-    NegativeDeterminant when the distances cannot be realised by points in
-    any Euclidean space, and DimensionMismatch for a wrongly sized matrix.
+    Returns 0.0 iff the simplex is flat against its own longest edge (see
+    :func:`_flat`), at any scale.  Raises NegativeDeterminant when the
+    distances cannot be realised by points in any Euclidean space, and
+    DimensionMismatch for a wrongly sized matrix.
     """
     D = np.asarray(sq_dists, dtype=float)
     if D.shape != (dim + 1, dim + 1):
@@ -67,10 +73,7 @@ def cayley_menger_volume(sq_dists, dim: int) -> float:
     bordered[1:, 1:] = D
     det = float(np.linalg.det(bordered))
     squared = (-1.0) ** (dim + 1) * det / (2.0**dim * math.factorial(dim) ** 2)
-    # Band wide enough to absorb determinant round-off, narrow enough not to
-    # swallow volumes near the genericity threshold used by the generators.
-    band = 1e-13 * max(1.0, float(D.max())) ** dim
-    if abs(squared) <= band:
+    if _flat(abs(squared), float(D.max()), dim):
         return 0.0
     if squared < 0.0:
         raise NegativeDeterminant(
@@ -132,9 +135,9 @@ def _anchor_planes(X: np.ndarray, references) -> tuple:
     holds the signed maximal minors of the anchor differences
     ``X[f, :-1] - X[f, -1]``: entry j is (-1)**j times the minor left by
     deleting column j, the generalized cross product of the K-1 rows ((1,)
-    when K = 1).  By Cauchy-Binet its length is the Gram volume of the rows;
-    when that is negligible against the product of the row lengths the
-    anchors are degenerate and DegenerateSpan is raised.  ``references`` is
+    when K = 1).  By Cauchy-Binet its length is (K-1)! times the volume of
+    the anchor simplex; when that simplex is flat against the longest
+    difference (see :func:`_flat`) DegenerateSpan is raised.  ``references`` is
     (F, K) or None; see :func:`hyperplane_through` for the orientation rule.
     """
     F, K = X.shape[0], X.shape[2]
@@ -143,8 +146,8 @@ def _anchor_planes(X: np.ndarray, references) -> tuple:
     # C order keeps the normals' rows contiguous for row_dots.
     minors = signs * np.linalg.det(np.ascontiguousarray(diffs[:, :, kept].transpose(0, 2, 1, 3)))
     lengths = np.array([math.hypot(*row) for row in minors.tolist()])
-    scales = np.maximum(np.sqrt((diffs * diffs).sum(-1)), 1e-300).prod(-1)
-    if (lengths <= EPS_RANK * scales).any():
+    reach = (diffs * diffs).sum(-1).max(-1, initial=0.0)
+    if _flat((lengths / math.factorial(K - 1)) ** 2, reach, K - 1).any():
         raise DegenerateSpan("anchor points do not span a hyperplane")
     normals = minors / lengths[:, None]
     # A unit normal always has a component above EPS_NORMAL: the pivot.
@@ -298,7 +301,7 @@ def extend_stack(anchors, radii, references=None) -> ExtensionStack:
     rw = float(r[-1])
     A = 2.0 * (X[:, :-1] - w[:, None])
     b = np.sum(X[:, :-1] ** 2, axis=2) - row_dots(w, w)[:, None] - r[:-1] ** 2 + rw**2
-    # The largest minor is at least |minors|/sqrt(K), which the volume test
+    # The largest minor is at least |minors|/sqrt(K), which the flatness test
     # in _anchor_planes keeps away from zero, so this block is regular.
     free = np.abs(minors).argmax(1)
     kept, _, slots = _cofactor_layout(K)

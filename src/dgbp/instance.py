@@ -21,14 +21,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import GenericityFailure, NegativeDeterminant, ParseError
-from .geometry import cayley_menger_volume, row_dots
+from .geometry import _flat, cayley_menger_volume, row_dots
 
 #: Windows whose simplex volume falls below this are rejected when sampling
 #: random instances, turning "generic position" into a constructive bound.
 GENERICITY_MIN_VOLUME = 1e-6
-
-#: Normalised volume below which a window counts as degenerate in validation.
-DEGENERACY_THRESHOLD = 1e-12
 
 
 class EdgeKind(Enum):
@@ -133,10 +130,12 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
     """Check the window-structure conditions of a well-formed instance.
 
     Violations are returned as data, never raised: the window of each vertex
-    past rank K must be a complete clique with an embeddable, nondegenerate
-    distance simplex; each such vertex needs at least K adjacent
-    predecessors; distances must be positive; and the initial embedding must
-    realise every edge among the first K vertices.
+    past rank K must be a complete clique whose distance simplex embeds and
+    is not flat against the longest edge among the window and the vertex
+    (so a window tiny next to the radii placing the vertex fails at any
+    scale); each such vertex needs at least K adjacent predecessors;
+    distances must be positive; and the initial embedding must realise
+    every edge among the first K vertices.
     """
     out = []
     K, n = inst.dimension, inst.n
@@ -193,17 +192,15 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
                     out.append(Violation(ViolationCode.MISSING_WINDOW_EDGE, v,
                                          f"missing window edge {{{window[a]}, {window[b]}}} "
                                          f"(anchors of {v})"))
-        if clique_ok and K >= 2:
-            sq = np.zeros((K, K))
-            for a in range(K):
-                for b in range(a + 1, K):
-                    sq[a, b] = sq[b, a] = inst.distance(window[a], window[b]) ** 2
-            scale = math.sqrt(float(sq.max())) if sq.max() > 0 else 1.0
+        if clique_ok:
+            clique = window + [v]
+            sq = np.array([[inst.distance(a, b) ** 2 if a != b else 0.0 for b in clique]
+                           for a in clique])
             try:
-                vol = cayley_menger_volume(sq, K - 1)
+                vol = cayley_menger_volume(sq[:-1, :-1], K - 1)
             except NegativeDeterminant:
                 vol = 0.0
-            if vol <= DEGENERACY_THRESHOLD * scale ** (K - 1):
+            if _flat(vol * vol, float(sq.max()), K - 1):
                 out.append(Violation(ViolationCode.DEGENERATE_SIMPLEX, v,
                                      f"window {window} has degenerate distance simplex"))
     return ValidationReport(tuple(out))

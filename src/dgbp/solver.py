@@ -39,7 +39,8 @@ from .instance import Instance, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
 
-#: Window residuals above this indicate numerical breakdown, not pruning.
+#: Window residuals above this fraction of the longest edge indicate
+#: numerical breakdown, not pruning.
 WINDOW_RESIDUAL_ALARM = 1e-6
 
 
@@ -48,7 +49,8 @@ class SolverOptions:
     """Knobs for :func:`solve`.
 
     ``atol``/``rtol`` form the pruning band: an edge check fails iff
-    ``|dist - d| > atol + rtol * d``.  ``max_nodes`` caps created tree nodes.
+    ``|dist - d| > atol + rtol * d``; ``atol`` is a length, so it scales
+    with the instance.  ``max_nodes`` caps created tree nodes.
     ``keep_tree`` is accepted and ignored, so that callers passing it keep
     working: no search tree is retained, since everything that reads the
     solution set needs only the solutions, their branch codes and the
@@ -256,9 +258,10 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     stats = search.stats
     stats.wall_time = time.perf_counter() - started
     result = SolveResult(inst, search.solutions, search.codes, stats)
-    if stats.max_window_residual > WINDOW_RESIDUAL_ALARM:
-        logger.warning("max window residual %.3e exceeds %.0e: numerical breakdown",
-                       stats.max_window_residual, WINDOW_RESIDUAL_ALARM)
+    alarm = WINDOW_RESIDUAL_ALARM * max(inst.edges.values(), default=0.0)
+    if stats.max_window_residual > alarm:
+        logger.warning("max window residual %.3e exceeds %.3e: numerical breakdown",
+                       stats.max_window_residual, alarm)
     violations = stats.uniform_level_violations
     if violations:
         logger.warning(

@@ -18,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousSpectrum, GroupTooLarge, NoSiblingBranch, SubtreeNotFull
+from .errors import AmbiguousSpectrum, NoSiblingBranch, SubtreeNotFull
 from .geometry import _anchor_planes, reflect_stack
 from .solver import _prefix_leaves
-
-#: Largest generator count for which the subgroup is materialised exactly.
-MAX_EXACT_GENERATORS = 24
 
 #: Relative cluster tolerance for distance spectra (scaled by the largest
 #: edge distance of the instance).
@@ -35,47 +32,6 @@ def suffix_flip(level: int, n: int) -> tuple:
     if not 1 <= level <= n:
         raise IndexError(f"level must be in 1..{n}, got {level}")
     return tuple(1 if j >= level else 0 for j in range(1, n + 1))
-
-
-def xor_bits(a: tuple, b: tuple) -> tuple:
-    """Elementwise XOR of two equal-length bit tuples."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def combine_flips(levels, n: int) -> tuple:
-    """XOR of the suffix flips at the given levels (empty set gives zero).
-
-    Distinct level sets always give distinct results: bit j changes exactly
-    when level j enters or leaves the set, so the map is injective over the
-    power set of {1..n}.
-    """
-    out = (0,) * n
-    for level in levels:
-        out = xor_bits(out, suffix_flip(level, n))
-    return out
-
-
-def span_flips(generators, n: int) -> set:
-    """Every XOR combination of the generators (the subgroup they generate)."""
-    gens = list(generators)
-    if len(gens) > MAX_EXACT_GENERATORS:
-        raise GroupTooLarge(
-            f"{len(gens)} generators span up to 2**{len(gens)} elements")
-    masks = []
-    for g in gens:
-        if len(g) != n:
-            raise ValueError(f"generator length {len(g)} != {n}")
-        masks.append(int("".join(map(str, g)), 2) if n else 0)
-    span = {0}
-    for mask in masks:
-        span |= {s ^ mask for s in span}
-    return {_int_to_bits(s, n) for s in span}
-
-
-def _int_to_bits(value: int, n: int) -> tuple:
-    return tuple((value >> (n - 1 - j)) & 1 for j in range(n))
 
 
 def branch_levels(result) -> frozenset:

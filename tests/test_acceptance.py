@@ -26,13 +26,11 @@ from dgbp.instance import counterexample, random_instance
 from dgbp.solver import brute_force, recompute_code, recompute_codes, solve
 from dgbp.symmetry import (
     branch_levels,
-    combine_flips,
     distance_spectrum,
-    span_flips,
     suffix_flip,
     verify_orbit,
-    xor_bits,
 )
+from flips import combine_flips, span_flips, xor_bits
 
 BATCH_PARAMS = [
     (K, n, p)
