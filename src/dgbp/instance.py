@@ -14,6 +14,7 @@ Instances are immutable after construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -192,8 +193,10 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
                     out.append(Violation(ViolationCode.MISSING_WINDOW_EDGE, v,
                                          f"missing window edge {{{window[a]}, {window[b]}}} "
                                          f"(anchors of {v})"))
-        if clique_ok:
-            clique = window + [v]
+        clique = window + [v]
+        dists = itertools.starmap(inst.distance, itertools.combinations(clique, 2))
+        # A clique holding a distance reported above has no simplex to test.
+        if clique_ok and all(math.isfinite(d) and d > 0.0 for d in dists):
             sq = np.array([[inst.distance(a, b) ** 2 if a != b else 0.0 for b in clique]
                            for a in clique])
             try:

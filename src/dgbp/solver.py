@@ -382,12 +382,46 @@ def serialize_result(result: SolveResult) -> str:
         c0, c1, c2 = stats.child_hist[lvl]
         lines.append(f"{lvl} {c0} {c1} {c2}")
     lines.append("solutions:")
-    # One template for all n*K coordinates of a solution, K per line.
-    block = "\n".join([" ".join(["%.17g"] * K)] * n)
-    for code, emb in zip(result.branch_codes, result.solutions):
-        lines.append("code " + "".join(map(str, code)))
-        lines.append(block % tuple(emb.ravel().tolist()))
+    lines += _solution_lines(result.branch_codes, result.solutions, n, K)
     return "\n".join(lines) + "\n"
+
+
+def _solution_lines(codes, solutions, n: int, K: int) -> list:
+    """The ``code`` line and the n coordinate lines of every solution, in order.
+
+    Solutions next to each other in code order are leaves of one search
+    tree, so they share every row placed above the level where their codes
+    first differ.  A row is formatted only where its bits differ from the
+    same row of the solution before (compared as uint64, so -0.0 and 0.0,
+    or two NaN payloads, count as different); the other rows reuse that
+    string.  The cost is one ``%.17g`` per distinct tree node, not per
+    solution row.
+    """
+    stack = np.asarray(solutions, dtype=float).reshape(-1, n, K)
+    bits = stack.view(np.uint64)
+    fresh = np.ones(stack.shape[:2], dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(-1)
+    values = stack[fresh].ravel().tolist()
+    template = "\n".join([" ".join(["%.17g"] * K)] * (len(values) // K))
+    texts = np.array((template % tuple(values)).split("\n"), dtype=object)
+    # Fresh rows are numbered in row-major order, so the string of row
+    # (s, j) is the one of the last solution up to s that changed row j:
+    # a running max down each column.
+    source = np.where(fresh, np.cumsum(fresh).reshape(fresh.shape) - 1, 0)
+    np.maximum.accumulate(source, axis=0, out=source)
+    block = np.empty((len(stack), n + 1), dtype=object)
+    block[:, 0] = ["code " + _code_text(code) for code in codes]
+    block[:, 1:] = texts[source]
+    return block.ravel().tolist()
+
+
+#: ``bytes(code).translate`` turns the 0/1 bits of a branch code into digits.
+_CODE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _code_text(code) -> str:
+    """A branch code as its string of 0/1 digits, as result and report files write it."""
+    return bytes(code).translate(_CODE_DIGITS).decode("ascii")
 
 
 def parse_result(text: str) -> SolveResult:
@@ -526,13 +560,15 @@ def _read_solutions(body: list, K, n, count):
 
     Once blank and comment lines are dropped, the body must hold ``count`` blocks of
     one ``code`` line and n coordinate lines, so the code lines are taken by
-    stride n + 1.  Their bits are checked in one buffer.  The coordinate
-    lines are joined with a ``;`` token after each line and split once.
-    Every line holds K tokens iff every (K+1)-th token is a ``;``, that is
-    iff no ``;`` is left once those are dropped: the float conversion of the
-    rest checks that.  Python's ``float`` reads the tokens, so the values
-    are those of the line loop.  Returns None, and leaves naming the error
-    to the line loop, when any check fails.
+    stride n + 1.  Their bits are checked in one buffer.  Solutions share
+    most rows (see ``_solution_lines``), so each distinct coordinate line is
+    read once and the rows are gathered by index.  The distinct lines are
+    joined with a ``;`` token after each line and split once.  Every line
+    holds K tokens iff every (K+1)-th token is a ``;``, that is iff no ``;``
+    is left once those are dropped: the float conversion of the rest checks
+    that.  Python's ``float`` reads the tokens, so the values are those of
+    the line loop.  Returns None, and leaves naming the error to the line
+    loop, when any check fails.
     """
     if K is None or n is None or count is None or K < 1 or n < 1:
         return None
@@ -552,8 +588,10 @@ def _read_solutions(body: list, K, n, count):
     if ((flat != ord("0")) & (flat != ord("1"))).any():
         return None
     del kept[:: n + 1]
-    tokens = " ; ".join([*kept, ""]).split()
-    if len(tokens) != len(kept) * (K + 1):
+    index: dict = {}
+    rows = [index.setdefault(line, len(index)) for line in kept]
+    tokens = " ; ".join([*index, ""]).split()
+    if len(tokens) != len(index) * (K + 1):
         return None
     del tokens[K :: K + 1]
     try:
@@ -563,7 +601,7 @@ def _read_solutions(body: list, K, n, count):
     if not np.isfinite(values).all():
         return None
     codes = (flat - ord("0")).reshape(count, n)
-    return values.reshape(count, n, K), list(map(tuple, codes.tolist()))
+    return values.reshape(-1, K)[rows].reshape(count, n, K), list(map(tuple, codes.tolist()))
 
 
 def _row_line(text: str, code_line: int, row: int) -> int:

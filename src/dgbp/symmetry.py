@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AmbiguousSpectrum, NoSiblingBranch, SubtreeNotFull
 from .geometry import _anchor_planes, reflect_stack
-from .solver import _prefix_leaves
+from .solver import _code_text, _prefix_leaves
 
 #: Relative cluster tolerance for distance spectra (scaled by the largest
 #: edge distance of the instance).
@@ -217,7 +217,7 @@ def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
     mirrored|``.
     """
     n = stack.shape[1]
-    keys = [int("".join(map(str, code)), 2) for code in codes]
+    keys = [int(_code_text(code), 2) for code in codes]
     index_of = {key: i for i, key in enumerate(keys)}
     partners, residuals = [], []
     for lvl in levels:
@@ -308,8 +308,7 @@ def serialize_report(report: SymmetryReport) -> str:
         f"tangent_events: {report.tangent_events}",
         "codes:",
     ]
-    for code in report.codes:
-        lines.append("".join(map(str, code)))
+    lines += map(_code_text, report.codes)
     lines.append("reflection_checks:")
     for chk in report.reflection_checks:
         lines.append(

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from corpus import CHAIN_PARAMS, RANDOM_PARAMS, fixture_path
-from dgbp.errors import ParseError
+from dgbp.errors import InvalidInstance, ParseError
 from dgbp.instance import (
     EdgeKind,
     Instance,
+    Violation,
     ViolationCode,
     counterexample,
     edge_kind,
@@ -19,6 +20,7 @@ from dgbp.instance import (
     stacked_edge_violations,
     validate,
 )
+from dgbp.solver import solve
 
 
 class TestCounterexample:
@@ -111,6 +113,19 @@ class TestValidate:
         report = validate(Instance(3, 6, edges, inst.initial_embedding))
         assert any(v.code is ViolationCode.DEGENERATE_SIMPLEX and v.vertex == 5
                    for v in report.violations)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_window_distance_is_reported_not_raised(self, bad):
+        # d(2, 3) is in the clique of vertex 3 and of vertex 4; neither gets a
+        # Cayley-Menger test, so the one violation is the distance itself.
+        edges = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): bad, (2, 4): 1.0, (3, 4): 1.0}
+        inst = Instance(2, 4, edges, ((0.0, 0.0), (1.0, 0.0)))
+        report = validate(inst)
+        assert report.violations == (Violation(
+            ViolationCode.NONPOSITIVE_DISTANCE, None, f"edge {{2, 3}} has distance {bad!r}"),)
+        with pytest.raises(InvalidInstance) as err:
+            solve(inst)
+        assert err.value.report == report
 
     def test_malformed_shape(self):
         report = validate(Instance(2, 1, {}, ((0.0, 0.0), (1.0, 0.0))))

@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 from itertools import product
 
@@ -10,6 +11,8 @@ from dgbp.errors import DimensionMismatch, InvalidInstance, NodeBudgetExceeded
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
 from dgbp.errors import ParseError
 from dgbp.solver import (
+    SolveResult,
+    SolveStats,
     SolverOptions,
     _LineReader,
     _read_solutions,
@@ -21,6 +24,7 @@ from dgbp.solver import (
     solve,
 )
 from dgbp.symmetry import verify_orbit
+from writer import serialize_result_by_solution
 
 
 def enumerate_line_walks():
@@ -253,6 +257,81 @@ class TestResultSerialization:
         assert "status: infeasible" in serialize_result(result)
 
 
+#: Coordinates whose bits differ while their text may not: signed zeros,
+#: infinities and two NaN payloads.
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan,
+                  np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64).item())
+
+
+@st.composite
+def hand_results(draw):
+    """Results built by hand, K = 1..4, with 0, 1 or many solutions.
+
+    Rows are drawn from a pool of a few, so equal rows turn up both in
+    neighbouring solutions and in solutions far apart.  The pool holds a
+    base row and variants of it that replace some slots, so rows that differ
+    in one slot only (say 0.0 against -0.0) turn up too.  Codes are arbitrary.
+    """
+    K = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64))
+    base = draw(st.lists(value, min_size=K, max_size=K))
+    pool = [base] + [[draw(st.one_of(st.just(b), value)) for b in base]
+                     for _ in range(draw(st.integers(0, 3)))]
+    count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 24)))
+    solutions = [np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+                 for _ in range(count)]
+    codes = [tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+             for _ in range(count)]
+    stats = SolveStats(
+        nodes_feasible=draw(st.integers(0, 99)),
+        max_window_residual=draw(st.floats(0.0, 1.0)),
+        child_hist={lvl: [0, 1, 0] for lvl in range(1, draw(st.integers(1, n)))},
+        budget_exceeded=draw(st.booleans()))
+    instance = Instance(K, n, {}, [[0.0] * K] * K) if draw(st.booleans()) else None
+    return SolveResult(instance, solutions, codes, stats)
+
+
+class TestWriter:
+    """serialize_result against the writer that formats every row."""
+
+    @given(result=hand_results())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_per_solution_writer(self, result):
+        if result.instance is None and not result.solutions:
+            for write in (serialize_result, serialize_result_by_solution):
+                with pytest.raises(ValueError):
+                    write(result)
+        else:
+            assert serialize_result(result) == serialize_result_by_solution(result)
+
+    @pytest.mark.parametrize("first, second", [
+        (0.0, -0.0), (-0.0, 0.0), (math.nan, SPECIAL_VALUES[-1]), (math.inf, 1e308)])
+    def test_rows_that_differ_only_in_bits(self, first, second):
+        # the row of the second solution is formatted from its own bits
+        solutions = [np.array([[1.0, first]]), np.array([[1.0, second]])]
+        result = SolveResult(None, solutions, [(0,), (1,)], SolveStats())
+        text = serialize_result(result)
+        assert text == serialize_result_by_solution(result)
+        assert text.endswith(f"code 1\n1 {second:.17g}\n")
+
+    def test_budget_exceeded_partial_result(self, monkeypatch):
+        # small batches, so that some leaves are out before the budget is hit
+        monkeypatch.setattr("dgbp.solver.BATCH_ROWS", 16)
+        full_tree = random_instance(2, 12, 0.0, 12)[0]
+        with pytest.raises(NodeBudgetExceeded) as err:
+            solve(full_tree, SolverOptions(max_nodes=1500))
+        partial = err.value.result
+        assert partial.solutions and partial.stats.budget_exceeded
+        assert serialize_result(partial) == serialize_result_by_solution(partial)
+
+    def test_solved_results(self, corpus):
+        full_tree = random_instance(2, 12, 0.0, 12)[0]
+        for inst in [*corpus.values(), full_tree]:
+            result = solve(inst)
+            assert serialize_result(result) == serialize_result_by_solution(result)
+
+
 @pytest.fixture(scope="module")
 def small_results():
     """Serialized results of small random instances, K = 1..4."""
@@ -276,9 +355,11 @@ def outcome(parse, text):
     return "ok", stack.shape, stack.tobytes(), result.branch_codes, result.stats
 
 
-LAYOUTS = ("blank", "comment", "tabs", "double-spaces", "trailing", "code-spaces")
-DAMAGES = ("nan", "x", "1_0", "", "bit-2", "drop-row", "move-token", "long-row",
-           "move-bit", "code-tab")
+LAYOUTS = ("blank", "comment", "tabs", "double-spaces", "trailing", "code-spaces",
+           "twin-spaces")
+TOKEN_DAMAGES = ("nan", "x", "1_0", "")
+DAMAGES = (*TOKEN_DAMAGES, "bit-2", "drop-row", "move-token", "long-row", "move-bit",
+           "code-tab", "twin-damage", "repeat-damage")
 
 
 class TestBulkRead:
@@ -291,6 +372,12 @@ class TestBulkRead:
         body = lines.index("solutions:") + 1
         damages = data.draw(st.lists(st.sampled_from(DAMAGES), max_size=2))
         layouts = data.draw(st.lists(st.sampled_from(LAYOUTS), max_size=6))
+
+        def damage(row, token):
+            parts = lines[row].split()
+            parts[data.draw(st.integers(0, len(parts) - 1))] = token
+            lines[row] = " ".join(parts)
+
         for change in damages + layouts:
             codes = [i for i in range(body, len(lines)) if lines[i].startswith("code ")]
             rows = [i for i in range(body, len(lines))
@@ -302,6 +389,26 @@ class TestBulkRead:
                 lines[at % len(lines)] += " \t "
             elif not rows:
                 continue
+            elif change in ("twin-spaces", "twin-damage"):
+                # a row with a byte-identical twin, which the bulk read reads
+                # once: respaced, the two still match after strip but not
+                # inside; damaged, only one of them is bad
+                texts = [lines[i] for i in rows]
+                twins = [i for i in rows if texts.count(lines[i]) > 1]
+                if not twins:
+                    continue
+                row = twins[at % len(twins)]
+                if change == "twin-spaces":
+                    lines[row] = " \t ".join(lines[row].split())
+                else:
+                    damage(row, data.draw(st.sampled_from(TOKEN_DAMAGES)))
+            elif change == "repeat-damage":
+                # a damaged row, and the same text again further down
+                row = rows[at % len(rows)]
+                damage(row, data.draw(st.sampled_from(TOKEN_DAMAGES)))
+                later = [i for i in rows if i > row]
+                if later:
+                    lines[data.draw(st.sampled_from(later))] = lines[row]
             elif change in ("tabs", "double-spaces"):
                 row = rows[at % len(rows)]
                 lines[row] = ("\t" if change == "tabs" else "  ").join(lines[row].split())
@@ -332,10 +439,7 @@ class TestBulkRead:
                 bit = data.draw(st.integers(5, len(lines[code]) - 1))
                 lines[code] = lines[code][:bit] + "2" + lines[code][bit + 1 :]
             else:
-                row = rows[at % len(rows)]
-                parts = lines[row].split()
-                parts[data.draw(st.integers(0, len(parts) - 1))] = change
-                lines[row] = " ".join(parts)
+                damage(rows[at % len(rows)], change)
         text = ("\r\n" if data.draw(st.booleans()) else "\n").join(lines)
         assert outcome(parse_result, text) == outcome(line_loop, text)
         if not damages:

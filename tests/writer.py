@@ -1,0 +1,46 @@
+"""The result writer the package's ``serialize_result`` is checked against.
+
+It formats every coordinate of every solution with one ``%.17g`` template
+per solution, whether or not the row repeats a row of the solution before:
+slow on large trees, but easy to trust.
+"""
+
+
+def serialize_result_by_solution(result) -> str:
+    """Plain-text form of a solve result, one solution at a time."""
+    stats = result.stats
+    if stats.budget_exceeded:
+        status = "budget-exceeded"
+    elif result.solutions:
+        status = "solved"
+    else:
+        status = "infeasible"
+    if result.instance is not None:
+        K, n = result.instance.dimension, result.instance.n
+    elif result.solutions:
+        K, n = len(result.solutions[0][0]), len(result.solutions[0])
+    else:
+        raise ValueError("cannot size a result with neither instance nor solutions")
+    lines = [
+        "format: dgp-result 1",
+        f"status: {status}",
+        f"dimension: {K}",
+        f"n: {n}",
+        f"solution_count: {len(result.solutions)}",
+        f"nodes_feasible: {stats.nodes_feasible}",
+        f"nodes_infeasible: {stats.nodes_infeasible}",
+        f"candidates_pruned: {stats.candidates_pruned}",
+        f"empty_extensions: {stats.empty_extensions}",
+        f"tangent_events: {stats.tangent_events}",
+        f"max_window_residual: {stats.max_window_residual:.17g}",
+        "child_hist:",
+    ]
+    for lvl in sorted(stats.child_hist):
+        c0, c1, c2 = stats.child_hist[lvl]
+        lines.append(f"{lvl} {c0} {c1} {c2}")
+    lines.append("solutions:")
+    block = "\n".join([" ".join(["%.17g"] * K)] * n)
+    for code, emb in zip(result.branch_codes, result.solutions):
+        lines.append("code " + "".join(map(str, code)))
+        lines.append(block % tuple(emb.ravel().tolist()))
+    return "\n".join(lines) + "\n"
