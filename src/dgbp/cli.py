@@ -223,7 +223,8 @@ def cmd_solve(args, command: str) -> int:
         result = exc.result
         budget_hit = True
     out = args.out or _stem(args.instance) + ".result.txt"
-    manifest = RunManifest(command, inputs=(args.instance,), outputs=(out,))
+    outputs = (out, args.plot) if args.plot else (out,)
+    manifest = RunManifest(command, inputs=(args.instance,), outputs=outputs)
     write_output(out, manifest, serialize_result(result), started)
     if args.plot:
         rows = ["solution\tvertex\t" + "\t".join(f"x{j + 1}" for j in range(inst.dimension))]

@@ -80,6 +80,15 @@ class Instance:
                 lists.setdefault(v, []).append(u)
         return lists
 
+    @functools.cached_property
+    def _edge_arrays(self) -> tuple:
+        """The sorted edges, their 0-based end indices (|E|, 2) and distances (|E|,)."""
+        edges = sorted(self.edges)
+        ends = np.array(edges, dtype=int).reshape(-1, 2) - 1
+        d = np.array([self.edges[e] for e in edges])
+        ends.flags.writeable = d.flags.writeable = False
+        return edges, ends, d
+
     def initial_points(self) -> np.ndarray:
         return np.asarray(self.initial_embedding, dtype=float)
 
@@ -315,11 +324,9 @@ def stacked_edge_violations(inst: Instance, embeddings, atol: float = 1e-9,
     """
     emb = np.asarray(embeddings, dtype=float)
     out: list = [[] for _ in range(len(emb))]
-    edges = sorted(inst.edges)
+    edges, ends, d = inst._edge_arrays
     if not edges or not len(emb):
         return out
-    ends = np.array(edges) - 1
-    d = np.array([inst.edges[e] for e in edges])
     delta = emb[:, ends[:, 0]] - emb[:, ends[:, 1]]
     res = np.abs(np.sqrt(row_dots(delta, delta)) - d)
     hits, cols = np.nonzero(~(res <= atol + rtol * d))

@@ -34,7 +34,7 @@ from .errors import (
     NodeBudgetExceeded,
     ParseError,
 )
-from .geometry import _anchor_planes, extend_stack, row_dots
+from .geometry import EPS_NORMAL, _anchor_planes, extend_stack, row_dots
 from .instance import Instance, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
@@ -276,25 +276,57 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
 def recompute_codes(inst: Instance, stack) -> list:
     """Re-derive the side bits of S embeddings (S, n, K) from their coordinates alone.
 
-    Level by level, one :func:`_anchor_planes` call places the anchor plane
-    of every embedding, oriented by the embedding's normal at the level
-    before, as the search chains them.  Returns the codes as length-n
-    tuples, in the order of the stack; each is the code
-    :func:`recompute_code` gives for that embedding.
+    The embeddings are taken in chunks of ``max(1, BATCH_ROWS // (n - K))``,
+    so a chunk holds at most BATCH_ROWS anchor windows unless one embedding
+    has more.  One :func:`_anchor_planes` call places the canonically
+    oriented plane of every window of a chunk, and a sign scan over the
+    levels recovers the orientation the search chains (see ``_side_bits``).
+    Returns the codes as length-n tuples, in the order of the stack; each
+    is the code :func:`recompute_code` gives for that embedding.  Raises
+    DimensionMismatch for a stack of the wrong shape and DegenerateSpan
+    when some window is flat.
     """
-    X = np.asarray(stack, dtype=float)
+    X = np.ascontiguousarray(stack, dtype=float)
     K, n = inst.dimension, inst.n
     if X.ndim != 3 or X.shape[1:] != (n, K):
         raise DimensionMismatch(f"expected embeddings of shape {(n, K)}, got stack {X.shape}")
     bits = np.zeros((len(X), n), dtype=np.int8)
-    normals = None
-    for level in range(K + 1, n + 1):
-        normals, offsets, _, _ = _anchor_planes(X[:, level - 1 - K : level - 1], normals)
-        # Hyperplane.side: 0 on or behind the plane, 1 otherwise (see row_dots
-        # for the contiguous copy).
-        along = row_dots(normals, np.ascontiguousarray(X[:, level - 1]))
-        bits[:, level - 1] = ~(along - offsets <= 0.0)
+    if n > K:
+        step = max(1, BATCH_ROWS // (n - K))
+        for start in range(0, len(X), step):
+            bits[start : start + step, K:] = _side_bits(X[start : start + step], K)
     return list(map(tuple, bits.tolist()))
+
+
+def _side_bits(X: np.ndarray, K: int) -> np.ndarray:
+    """Side bits of levels K+1..n of the embeddings (S, n, K), shape (S, n - K).
+
+    The search orients the plane of level v by the oriented normal of level
+    v-1 (see :func:`hyperplane_through`).  With c the canonical normals,
+    that normal is t * c, where t = +1 at level K+1 and wherever
+    ``|c_v . c_{v-1}| <= EPS_NORMAL`` (a tie keeps the canonical sign), and
+    ``t_v = t_{v-1} * sign(c_v . c_{v-1})`` elsewhere: the parity of the
+    negative turns since the last reset.  Negation is exact, so flipping
+    the sign of the canonical gap ``c . x - offset`` gives the oriented gap
+    bit for bit, and the side bit is 0 on or behind the plane, as in
+    :meth:`Hyperplane.side`.  Works on the S * (n - K) windows as one flat
+    stack, whose consecutive rows are the consecutive levels of one
+    embedding, except where a reset starts the next embedding.
+    """
+    S, n = X.shape[:2]
+    levels = n - K
+    rows = S * levels
+    windows = X[:, np.arange(levels)[:, None] + np.arange(K)].reshape(rows, K, K)
+    normals, offsets, _, _ = _anchor_planes(windows, None)
+    # X is C-contiguous, so every row_dots operand has contiguous rows.
+    gaps = row_dots(normals, X[:, K:].reshape(rows, K)) - offsets
+    turns = row_dots(normals[1:], normals[:-1])
+    reset = np.arange(rows) % levels == 0
+    reset[1:] |= np.abs(turns) <= EPS_NORMAL
+    count = np.cumsum(np.r_[False, turns < -EPS_NORMAL])
+    count -= np.maximum.accumulate(np.where(reset, count, 0))
+    gaps[count % 2 == 1] *= -1.0
+    return (~(gaps <= 0.0)).reshape(S, levels)
 
 
 def recompute_code(inst: Instance, embedding) -> tuple:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +124,13 @@ def _mirror_tails(stack: np.ndarray, vertex: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ReflectionCheck:
+class ReflectionCheck(NamedTuple):
+    """One tail-reflection check of :func:`verify_orbit`.
+
+    A named tuple, not a dataclass: a full tree makes one per (solution,
+    branching level), hundreds of thousands of them.
+    """
+
     solution_index: int
     level: int
     residual: float
@@ -216,24 +222,24 @@ def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
     mask of the low n-i+1 bits), and the residual ``max_row |partner -
     mirrored|``.
     """
-    n = stack.shape[1]
+    S, n = stack.shape[:2]
     keys = [int(_code_text(code), 2) for code in codes]
     index_of = {key: i for i, key in enumerate(keys)}
-    partners, residuals = [], []
-    for lvl in levels:
+    partners = np.empty((S, len(levels)), dtype=np.int64)
+    residuals = np.empty((S, len(levels)))
+    for j, lvl in enumerate(levels):
         flip = (1 << (n - lvl + 1)) - 1
         partner = np.array([index_of.get(key ^ flip, -1) for key in keys])
         d = stack[partner] - _mirror_tails(stack, lvl)
         residual = np.sqrt((d * d).sum(-1)).max(-1)
         residual[partner < 0] = np.inf
-        partners.append(partner.tolist())
-        residuals.append(residual.tolist())
-    return [
-        ReflectionCheck(solution_index=idx, level=lvl, residual=residuals[j][idx],
-                        code_matches=partners[j][idx] >= 0,
-                        matched_index=partners[j][idx])
-        for idx in range(len(keys)) for j, lvl in enumerate(levels)
-    ]
+        partners[:, j], residuals[:, j] = partner, residual
+    return list(map(ReflectionCheck,
+                    np.repeat(np.arange(S), len(levels)).tolist(),
+                    levels * S,
+                    residuals.ravel().tolist(),
+                    (partners >= 0).ravel().tolist(),
+                    partners.ravel().tolist()))
 
 
 def distance_spectrum(result, u: int, v: int) -> tuple:

@@ -146,9 +146,10 @@ def codes_by_planes(inst, embedding):
 
 
 def test_stacked_code_recomputation(batch_results):
-    # recompute_codes (one anchor-plane call per level for the whole stack)
-    # gives the per-embedding codes, on the oracle's embeddings of the
-    # counterexample family and on the solutions of the seeded batch
+    # recompute_codes (one anchor-plane call per chunk of embeddings, then a
+    # sign scan over the levels) gives the per-embedding codes, on the
+    # oracle's embeddings of the counterexample family and on the solutions
+    # of the seeded batch
     rows = 0
     for K in (1, 2, 3, 4):
         inst = counterexample(K)

@@ -122,6 +122,16 @@ class TestSolve:
         assert lines[0].split("\t") == ["solution", "vertex", "x1", "x2"]
         assert len(lines) == 1 + 8 * 5
 
+    def test_plot_listed_in_both_manifests(self, tmp_path):
+        out = tmp_path / "res.txt"
+        plot = tmp_path / "coords.tsv"
+        assert main(["solve", str(fixture_path("chain_k2_n5")), "--out", str(out),
+                     "--plot", str(plot)]) == 0
+        for path in (out, plot):
+            listed = [line.split(": ", 1)[1] for line in region_of(path).splitlines()
+                      if line.startswith("# manifest output: ")]
+            assert listed == [str(out), str(plot)], path
+
 
 class TestAnalyze:
     def test_chain_exit_0(self, tmp_path):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgbp.errors import DimensionMismatch, InvalidInstance, NodeBudgetExceeded
+from dgbp.errors import DegenerateSpan, DimensionMismatch, InvalidInstance, NodeBudgetExceeded
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
 from dgbp.errors import ParseError
+from dgbp.geometry import hyperplane_through
 from dgbp.solver import (
+    BATCH_ROWS,
     SolveResult,
     SolveStats,
     SolverOptions,
@@ -24,6 +26,7 @@ from dgbp.solver import (
     solve,
 )
 from dgbp.symmetry import verify_orbit
+from decoder import recompute_codes_by_level
 from writer import serialize_result_by_solution
 
 
@@ -483,3 +486,78 @@ class TestBatchedSearch:
         for inst, want in zip(cap_instances, default):
             got = brute_force(inst)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+DECODE_FAMILIES = ("gauss", "grid", "mixed", "turning", "flat")
+
+
+def family_embeddings(rng, family: str, m: int, n: int, K: int) -> np.ndarray:
+    """m embeddings (m, n, K) of one family.
+
+    ``grid`` is a walk on the integer lattice by nonzero steps with
+    coordinates in {-1, 0, 1}: consecutive window normals are often exactly
+    orthogonal (orientation ties), points often lie exactly on their plane,
+    and some windows are flat when K > 2.  ``mixed`` rounds half of the
+    gaussian points.  ``turning`` walks the first two coordinates round a
+    circle by more than a right angle per vertex, so canonical normals keep
+    reversing.  ``flat`` repeats one point: a flat window when K > 1, a
+    point on its plane when K = 1.
+    """
+    if family == "grid":
+        steps = rng.integers(-1, 2, size=(m, n, K))
+        steps[~steps.any(-1), 0] = 1
+        return np.cumsum(steps, axis=1).astype(float)
+    X = rng.normal(size=(m, n, K))
+    if family == "mixed":
+        rounded = rng.random((m, n)) < 0.5
+        X[rounded] = np.round(X[rounded])
+    elif family == "turning" and K > 1:
+        angle = rng.uniform(0.55, 0.95) * np.pi * np.arange(n)
+        X[:, :, 0], X[:, :, 1] = np.cos(angle), np.sin(angle)
+    elif family == "flat" and n > 1:
+        v = rng.integers(1, n)
+        X[:, v] = X[:, v - 1]
+    return X
+
+
+class TestRecomputeCodes:
+    """recompute_codes against the decoder that places one plane per level."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_level_by_level_decoder(self, data):
+        K = data.draw(st.integers(1, 4), label="K")
+        n = data.draw(st.integers(K, K + 8), label="n")
+        family = data.draw(st.sampled_from(DECODE_FAMILIES), label="family")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pool = family_embeddings(rng, family, data.draw(st.integers(1, 6)), n, K)
+        # the widest stack crosses two chunk boundaries and ends in a part chunk
+        wide = 2 * (BATCH_ROWS // max(1, n - K)) + 1
+        S = data.draw(st.sampled_from([0, 1, len(pool), wide]), label="S")
+        stack = pool[rng.integers(len(pool), size=S)]
+        inst = Instance(K, n, {}, [[0.0] * K] * K)
+        try:
+            want = recompute_codes_by_level(inst, stack)
+        except DegenerateSpan:
+            with pytest.raises(DegenerateSpan):
+                recompute_codes(inst, stack)
+            return
+        assert recompute_codes(inst, stack) == want
+        if S:
+            assert recompute_code(inst, stack[0]) == want[0]
+
+    def test_right_angle_walk(self):
+        # K = 2 on the unit grid: every turn is a tie, a straight step puts
+        # the point on its plane (bit 0), and a repeated point is flat
+        walk = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3),
+                         (1, 2), (2, 2)], dtype=float)
+        inst = Instance(2, len(walk), {}, walk[:2].tolist())
+        normals = [hyperplane_through(walk[v - 2 : v]).normal for v in range(2, len(walk))]
+        assert any(a @ b == 0.0 for a, b in zip(normals, normals[1:]))
+        codes = recompute_codes(inst, walk[None])
+        assert codes == recompute_codes_by_level(inst, walk[None])
+        assert codes[0][5] == 0  # (0, 3) lies on the line through (0, 1) and (0, 2)
+        flat = np.concatenate([walk[:3], walk[2:-1]])
+        for decode in (recompute_codes, recompute_codes_by_level):
+            with pytest.raises(DegenerateSpan):
+                decode(inst, flat[None])

@@ -186,6 +186,14 @@ class TestVerifyOrbit:
                     want.append(ReflectionCheck(idx, lvl, residual, partner >= 0, partner))
             assert list(verify_orbit(result).reflection_checks) == want, name
 
+    def test_checks_are_immutable_records(self, chain_k2_n5):
+        check = verify_orbit(solve(chain_k2_n5)).reflection_checks[0]
+        assert check._fields == ("solution_index", "level", "residual", "code_matches",
+                                 "matched_index")
+        assert list(map(type, check)) == [int, int, float, bool, int]
+        with pytest.raises(AttributeError):
+            check.residual = 0.0
+
     def test_file_result_has_no_reflection_checks(self, chain_k2_n5):
         result = parse_result(serialize_result(solve(chain_k2_n5)))
         report = verify_orbit(result)
