@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import shlex
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -71,14 +73,35 @@ class RunManifest:
 
 
 def write_output(path: str, manifest: RunManifest, body: str, started: float) -> None:
-    """Write manifest + body, then a sha of that region and the wall time."""
-    region = "\n".join(manifest.lines()) + "\n" + body
-    digest = hashlib.sha256(region.encode()).hexdigest()
+    """Write manifest + body, then a sha of that region and the wall time.
+
+    The file is overwritten in place: written from offset 0 without first
+    truncating it, then cut to the new length.  A symlink or hard link to it
+    keeps pointing at the new bytes.  Truncating to zero or renaming over
+    the old file would make ext4 (``auto_da_alloc``) flush it on every write.
+    Non-regular files (``/dev/null``, pipes, terminals) are only written.  If
+    the write raises, a regular file is emptied before the error propagates,
+    so it never holds new text followed by old.
+    """
+    region = ("\n".join(manifest.lines()) + "\n" + body).encode()
+    digest = hashlib.sha256(region).hexdigest()
     wall = time.perf_counter() - started
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(region)
-        fh.write(f"# sha256: {digest}\n")
-        fh.write(f"# wall_time_s: {wall:.6f}\n")
+    data = region + f"# sha256: {digest}\n# wall_time_s: {wall:.6f}\n".encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def split_trailer(text: str):
@@ -183,7 +206,7 @@ def cmd_generate(args, command: str) -> int:
         witness_out = args.witness_out or out.rsplit(".", 1)[0] + ".witness.txt"
         outputs.append(witness_out)
     manifest = RunManifest(command, inputs=(), outputs=tuple(outputs))
-    write_output(out, manifest, serialize_instance(inst), started)
+    _write(out, manifest, serialize_instance(inst), started)
     if witness is not None:
         body = [
             "format: dgp-witness 1",
@@ -192,7 +215,7 @@ def cmd_generate(args, command: str) -> int:
             "coords:",
         ]
         body += [" ".join("%.17g" % c for c in row) for row in witness]
-        write_output(witness_out, manifest, "\n".join(body) + "\n", started)
+        _write(witness_out, manifest, "\n".join(body) + "\n", started)
     _say(f"wrote {out}" + (f" and {witness_out}" if witness is not None else ""))
     return EXIT_OK
 
@@ -225,13 +248,10 @@ def cmd_solve(args, command: str) -> int:
     out = args.out or _stem(args.instance) + ".result.txt"
     outputs = (out, args.plot) if args.plot else (out,)
     manifest = RunManifest(command, inputs=(args.instance,), outputs=outputs)
-    write_output(out, manifest, serialize_result(result), started)
+    _write(out, manifest, serialize_result(result), started)
     if args.plot:
-        rows = ["solution\tvertex\t" + "\t".join(f"x{j + 1}" for j in range(inst.dimension))]
-        for i, emb in enumerate(result.solutions):
-            for vtx, point in enumerate(emb, start=1):
-                rows.append(f"{i}\t{vtx}\t" + "\t".join("%.17g" % c for c in point))
-        write_output(args.plot, manifest, "\n".join(rows) + "\n", started)
+        _write(args.plot, manifest, _plot_table(result.solutions, inst.n, inst.dimension),
+               started)
     _say(f"{args.instance}: {result.solution_count} solutions -> {out}")
     if budget_hit:
         return EXIT_BUDGET
@@ -247,7 +267,7 @@ def cmd_analyze(args, command: str) -> int:
     report = verify_orbit(result)
     out = args.out or _stem(args.result) + ".symmetry.txt"
     manifest = RunManifest(command, inputs=(args.result,), outputs=(out,))
-    write_output(out, manifest, serialize_report(report), started)
+    _write(out, manifest, serialize_report(report), started)
     _say(f"{args.result}: |X|={report.solution_count} group_order={report.group_order} "
          f"orbit_verified={report.orbit_verified} power_of_two={report.power_of_two} "
          f"degenerate={report.degenerate}")
@@ -294,9 +314,47 @@ def cmd_verify(args, command: str) -> int:
     return EXIT_OK
 
 
+def _plot_table(solutions, n: int, K: int) -> str:
+    """Tab-separated table with one row per (solution, vertex): indices, then coordinates.
+
+    One ``%`` template formats the whole stack, as ``solver._solution_lines``
+    does; the two index columns ride along as floats, which ``%d`` prints as
+    integers.
+    """
+    stack = np.asarray(solutions, dtype=float).reshape(-1, n, K)
+    table = np.empty(stack.shape[:2] + (K + 2,))
+    table[:, :, 0] = np.arange(len(stack))[:, None]
+    table[:, :, 1] = np.arange(1, n + 1)
+    table[:, :, 2:] = stack
+    header = "solution\tvertex\t" + "\t".join(f"x{j + 1}" for j in range(K))
+    row = "\t".join(["%d", "%d"] + ["%.17g"] * K)
+    return "\n".join([header] + [row] * (len(stack) * n)) % tuple(table.ravel().tolist()) + "\n"
+
+
+class _FileError(Exception):
+    """An input could not be read or an output written (exit 3)."""
+
+    def __init__(self, verb: str, path: str, exc: OSError):
+        super().__init__(f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _FileError("read", path, exc) from exc
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is all of it.
+        raise ParseError(f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})",
+                         line=exc.object.count(b"\n", 0, exc.start) + 1) from exc
+
+
+def _write(path: str, manifest: RunManifest, body: str, started: float) -> None:
+    try:
+        write_output(path, manifest, body, started)
+    except OSError as exc:
+        raise _FileError("write", path, exc) from exc
 
 
 def _stem(path: str) -> str:
@@ -316,8 +374,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _say(f"parse error: {exc}")
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        _say(f"cannot read {exc.filename}")
+    except _FileError as exc:
+        _say(str(exc))
         return EXIT_INVALID
     except DgbpError as exc:
         _say(f"error: {exc}")

@@ -1,10 +1,15 @@
+import errno
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from corpus import fixture_path
-from dgbp.cli import main, split_trailer
-from dgbp.instance import parse_instance, serialize_instance
+from dgbp.cli import _plot_table, main, split_trailer
+from dgbp.instance import parse_instance, random_instance, serialize_instance
+from dgbp.solver import solve
+from writer import plot_table_by_row
 
 
 def read(path):
@@ -201,6 +206,26 @@ class TestVerify:
             "solution 0: edge {1, 2}", "solution 0: edge {1, 3}"]
 
 
+class TestPlotTable:
+    """The bulk ``--plot`` table against the per-coordinate reference."""
+
+    @pytest.mark.parametrize("K, n", [(1, 6), (2, 9), (3, 9), (4, 10)])
+    def test_matches_row_writer(self, K, n):
+        solutions = solve(random_instance(K, n, 0.1, K)[0]).solutions
+        assert solutions
+        assert _plot_table(solutions, n, K) == plot_table_by_row(solutions, K)
+
+    def test_full_tree(self):
+        solutions = solve(random_instance(2, 16, 0.0, 1)[0]).solutions
+        assert len(solutions) == 2 ** 14
+        assert _plot_table(solutions, 16, 2) == plot_table_by_row(solutions, 2)
+
+    def test_no_solutions_and_special_values(self):
+        assert _plot_table([], 5, 3) == plot_table_by_row([], 3)
+        odd = [np.array([[-0.0, np.nan], [np.inf, 1e-300], [-5e-324, 2.0 ** 60]])]
+        assert _plot_table(odd, 3, 2) == plot_table_by_row(odd, 2)
+
+
 def first_solution(edit):
     """Damage: ``edit`` rewrites the first code line and the row after it."""
     def damage(lines):
@@ -256,6 +281,7 @@ class TestDeterminism:
         first = read(out)
         main(cmd)
         second = read(out)
+        assert first.splitlines()[:-1] == second.splitlines()[:-1]
         r1, s1, w1 = split_trailer(first)
         r2, s2, w2 = split_trailer(second)
         assert r1 == r2 and s1 == s2
@@ -266,6 +292,127 @@ class TestDeterminism:
         main(["solve", str(fixture_path("random_01")), "--out", str(out)])
         region, sha, _ = split_trailer(read(out))
         assert hashlib.sha256(region.encode()).hexdigest() == sha
+
+
+def without_wall_time(text):
+    """Everything but the final ``# wall_time_s:`` line, which must be there."""
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    assert last.startswith("# wall_time_s: ") and text.endswith(last + "\n")
+    return head
+
+
+class TestOverwriteInPlace:
+    """Outputs are written over the old file's bytes, then cut to length."""
+
+    @staticmethod
+    def solve_to(out):
+        return main(["solve", str(fixture_path("chain_k2_n5")), "--out", str(out)])
+
+    def test_shorter_output_leaves_no_stale_tail(self, tmp_path):
+        out = tmp_path / "res.txt"
+        assert self.solve_to(out) == 0
+        fresh = read(out)
+        out.write_text("stale line\n" * 10 * len(fresh))
+        assert self.solve_to(out) == 0
+        assert without_wall_time(read(out)) == without_wall_time(fresh)
+
+    def test_symlink_is_kept_and_followed(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n" * 10_000)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert self.solve_to(link) == 0
+        assert link.is_symlink()
+        text = read(target)
+        region, sha, _ = split_trailer(text)
+        assert "solution_count: 8" in region and "old\n" not in text
+        assert hashlib.sha256(region.encode()).hexdigest() == sha
+
+    def test_hard_link_sees_new_bytes(self, tmp_path):
+        out = tmp_path / "res.txt"
+        out.write_text("old\n" * 10_000)
+        other = tmp_path / "other.txt"
+        os.link(out, other)
+        assert self.solve_to(out) == 0
+        assert out.stat().st_ino == other.stat().st_ino
+        assert read(other) == read(out) and "solution_count: 8" in read(other)
+
+    def test_dev_null(self):
+        assert main(["solve", str(fixture_path("chain_k2_n5")), "--out", os.devnull,
+                     "--plot", os.devnull]) == 0
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "res.txt"
+        old = os.umask(0o027)
+        try:
+            assert self.solve_to(out) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_failed_write_leaves_empty_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "res.txt"
+        assert self.solve_to(out) == 0
+        out.write_text(read(out) * 3)
+        ino = out.stat().st_ino
+        real_write = os.write
+        writes = []
+
+        def flaky(fd, data):
+            """Write half of the first chunk to ``out``, then fail."""
+            if os.fstat(fd).st_ino != ino:
+                return real_write(fd, data)
+            writes.append(len(data))
+            if len(writes) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "write", flaky)
+        capsys.readouterr()
+        assert self.solve_to(out) == 3
+        monkeypatch.undo()
+        assert len(writes) == 2
+        assert out.stat().st_size == 0
+        assert capsys.readouterr().err == (
+            f"cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is exit 3 with one line, not a traceback."""
+
+    @staticmethod
+    def run(capsys, argv):
+        capsys.readouterr()
+        rc = main(argv)
+        return rc, capsys.readouterr().err
+
+    def test_missing_input(self, tmp_path, capsys):
+        path = tmp_path / "nope.txt"
+        assert self.run(capsys, ["solve", str(path)]) == (
+            3, f"cannot read {path}: No such file or directory\n")
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        rc, err = self.run(capsys, ["solve", str(fixture_path("chain_k2_n5")),
+                                    "--out", str(tmp_path)])
+        assert (rc, err) == (3, f"cannot write {tmp_path}: Is a directory\n")
+
+    def test_output_directory_missing(self, tmp_path, capsys):
+        out = tmp_path / "nope" / "r.txt"
+        rc, err = self.run(capsys, ["solve", str(fixture_path("chain_k2_n5")),
+                                    "--out", str(out)])
+        assert (rc, err) == (3, f"cannot write {out}: No such file or directory\n")
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        rc, err = self.run(capsys, ["analyze", str(tmp_path),
+                                    "--out", str(tmp_path / "rep.txt")])
+        assert (rc, err) == (3, f"cannot read {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("cmd", ["validate", "analyze"])
+    def test_non_utf8_input(self, tmp_path, capsys, cmd):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"format: dgp-instance 1\ndimension: 2\nn: \xff5\n")
+        rc, err = self.run(capsys, [cmd, str(path)])
+        assert (rc, err) == (3, "parse error: line 3: not UTF-8 text (byte 0xff)\n")
 
 
 class TestPipelineClosure:

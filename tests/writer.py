@@ -1,8 +1,10 @@
-"""The result writer the package's ``serialize_result`` is checked against.
+"""The writers the package's bulk formatters are checked against.
 
-It formats every coordinate of every solution with one ``%.17g`` template
-per solution, whether or not the row repeats a row of the solution before:
-slow on large trees, but easy to trust.
+``serialize_result_by_solution`` formats every coordinate of every solution
+with one ``%.17g`` template per solution, whether or not the row repeats a
+row of the solution before; ``plot_table_by_row`` formats the ``solve --plot``
+table one coordinate at a time.  Both are slow on large trees, but easy to
+trust.
 """
 
 
@@ -44,3 +46,12 @@ def serialize_result_by_solution(result) -> str:
         lines.append("code " + "".join(map(str, code)))
         lines.append(block % tuple(emb.ravel().tolist()))
     return "\n".join(lines) + "\n"
+
+
+def plot_table_by_row(solutions, K: int) -> str:
+    """The ``solve --plot`` table, one row per (solution, vertex)."""
+    rows = ["solution\tvertex\t" + "\t".join(f"x{j + 1}" for j in range(K))]
+    for i, emb in enumerate(solutions):
+        for vtx, point in enumerate(emb, start=1):
+            rows.append(f"{i}\t{vtx}\t" + "\t".join("%.17g" % c for c in point))
+    return "\n".join(rows) + "\n"
