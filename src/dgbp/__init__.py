@@ -25,15 +25,9 @@ from .errors import (
     SubtreeNotFull,
 )
 from .geometry import (
-    ExtensionKind,
-    ExtensionResult,
     ExtensionStack,
-    Hyperplane,
     cayley_menger_volume,
-    extend_positions,
     extend_stack,
-    hyperplane_through,
-    reflect,
     reflect_stack,
 )
 from .instance import (

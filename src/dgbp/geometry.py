@@ -5,10 +5,9 @@ one point per row, ordered by vertex rank.  These are the building blocks of
 the vertex-placement step: the simplex-volume test that guards against
 degenerate anchors, the hyperplane through K anchor points, the mirror image
 across it, and the two-point intersection of the K spheres centred at the
-anchors.  Placement works on stacks of F anchor sets at once
-(:func:`extend_stack`); :func:`extend_positions` and
-:func:`hyperplane_through` are its batch-of-one forms.  Likewise
-:func:`reflect` is the batch-of-one form of :func:`reflect_stack`.
+anchors.  All of them work on stacks of F anchor sets at once
+(:func:`_anchor_planes`, :func:`reflect_stack`, :func:`extend_stack`), and
+each row comes out bit for bit as a stack of one would give it.
 
 All functions are pure and never mutate their arguments.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -82,23 +80,6 @@ def cayley_menger_volume(sq_dists, dim: int) -> float:
     return math.sqrt(squared)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Oriented affine hyperplane ``{x : normal . x = offset}``.
-
-    ``normal`` is a unit vector; ``pivot_index`` is the smallest index whose
-    normal component is nonzero, used by the affine reflection formula.
-    """
-
-    normal: np.ndarray
-    offset: float
-    pivot_index: int
-
-    def side(self, point) -> int:
-        """Side bit of ``point``: 0 on or behind the plane, 1 in front of it."""
-        return 0 if float(self.normal @ point) - self.offset <= 0.0 else 1
-
-
 @functools.lru_cache(maxsize=None)
 def _cofactor_layout(K: int) -> tuple:
     """Column tables for a K-column elimination, indexed by the deleted column.
@@ -137,8 +118,14 @@ def _anchor_planes(X: np.ndarray, references) -> tuple:
     deleting column j, the generalized cross product of the K-1 rows ((1,)
     when K = 1).  By Cauchy-Binet its length is (K-1)! times the volume of
     the anchor simplex; when that simplex is flat against the longest
-    difference (see :func:`_flat`) DegenerateSpan is raised.  ``references`` is
-    (F, K) or None; see :func:`hyperplane_through` for the orientation rule.
+    difference (see :func:`_flat`) DegenerateSpan is raised.
+
+    Orientation: ``references`` is (F, K) or None, and row f's normal is
+    flipped, if necessary, so that ``normal . references[f] >= 0``.  With no
+    reference, or where that dot product is within EPS_NORMAL of zero, the
+    pivot component (the first one above EPS_NORMAL) is made positive
+    instead, which keeps the labelling deterministic.  A point x is on side
+    0 of a plane when ``normal . x - offset <= 0`` and on side 1 otherwise.
     """
     F, K = X.shape[0], X.shape[2]
     diffs = X[:, :-1] - X[:, -1:]
@@ -161,31 +148,6 @@ def _anchor_planes(X: np.ndarray, references) -> tuple:
     return normals, offsets, pivots, minors
 
 
-def _square(X, ndim: int) -> np.ndarray:
-    """``X`` as a float array of ``ndim`` axes whose last two are K, K."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != ndim or X.shape[-2] != X.shape[-1]:
-        raise DimensionMismatch(f"expected K anchors in R^K, got array of shape {X.shape}")
-    return X
-
-
-def hyperplane_through(points, reference=None) -> Hyperplane:
-    """Oriented hyperplane through K points of R^K.
-
-    The batch-of-one form of the plane :func:`extend_stack` computes: the
-    normal is the normalised vector of signed anchor minors, and
-    DegenerateSpan is raised when the points do not affinely span a
-    (K-1)-flat.  Orientation: the normal is flipped, if necessary, so that
-    ``normal . reference >= 0``; when no reference is given (or the dot
-    product vanishes) the first nonzero component of the normal is made
-    positive instead, which keeps the labelling deterministic.
-    """
-    P = _square(points, 2)
-    refs = None if reference is None else np.asarray(reference, dtype=float)[None]
-    normals, offsets, pivots, _ = _anchor_planes(P[None], refs)
-    return Hyperplane(normals[0], float(offsets[0]), int(pivots[0]))
-
-
 def reflect_stack(normals, offsets, pivots, points) -> np.ndarray:
     """Mirror images of the points (S, T, K) across S planes, one per row.
 
@@ -193,8 +155,8 @@ def reflect_stack(normals, offsets, pivots, points) -> np.ndarray:
     ``normals[s]`` (S, K), offset ``offsets[s]`` and pivot ``pivots[s]``, as
     :func:`_anchor_planes` returns them.  The plane is translated through the
     origin along its pivot axis, the linear reflection I - 2 a a^T is applied
-    and the translation undone.  Each row is bit for bit what
-    :func:`reflect`, its batch-of-one form, gives.
+    and the translation undone.  The map is an involution and an isometry,
+    and points on the plane are fixed.
     """
     a = np.ascontiguousarray(normals, dtype=float)  # see row_dots
     q = np.array(points, dtype=float)
@@ -207,56 +169,21 @@ def reflect_stack(normals, offsets, pivots, points) -> np.ndarray:
     return q
 
 
-def reflect(plane: Hyperplane, point) -> np.ndarray:
-    """Mirror image of ``point`` across ``plane``.
-
-    The batch-of-one form of :func:`reflect_stack`, which describes the
-    method.  The map is an involution and an isometry; points on the plane
-    are fixed.
-    """
-    normal = np.asarray(plane.normal, dtype=float)[None]
-    p = np.asarray(point, dtype=float)[None, None]
-    return reflect_stack(normal, [plane.offset], [plane.pivot_index], p)[0, 0]
-
-
-class ExtensionKind(Enum):
-    EMPTY = "empty"
-    TANGENT = "tangent"
-    PAIR = "pair"
-
-
-# ExtensionStack.kind codes: the index into ExtensionKind, which is also the
-# number of distinct intersection points.
+# ExtensionStack.kind codes, the number of distinct intersection points.
 _EMPTY, _TANGENT, _PAIR = range(3)
-
-
-@dataclass(frozen=True)
-class ExtensionResult:
-    """Outcome of intersecting the K anchor spheres.
-
-    ``plane`` is the oriented hyperplane through the anchors, as
-    :func:`hyperplane_through` gives it.  ``points`` holds 0, 1 or 2
-    placements; a PAIR is a mirror pair across ``plane`` listed side 0 first,
-    so ``points[s]`` is the placement with side bit ``s``.  ``discriminant``
-    is the raw quadratic discriminant before the tangency band is applied.
-    """
-
-    kind: ExtensionKind
-    points: tuple
-    discriminant: float
-    plane: Hyperplane
 
 
 @dataclass(frozen=True)
 class ExtensionStack:
     """Sphere intersections of F anchor sets, one row each.
 
-    ``kind[f]`` indexes ``list(ExtensionKind)``.  ``points[f, s]`` is the placement
-    with side bit ``s`` and ``placed[f, s]`` says whether there is one: both
-    sides of a PAIR, the one side of the plane a TANGENT point falls on (it
-    fills both slots), neither side when EMPTY (those points are NaN).
-    ``normals``, ``offsets`` and ``pivots`` are the oriented anchor planes,
-    ``discriminants`` the raw quadratic discriminants.
+    ``kind[f]`` is the number of distinct intersection points: 0 (empty), 1
+    (tangent) or 2 (pair).  ``points[f, s]`` is the placement with side bit
+    ``s`` and ``placed[f, s]`` says whether there is one: both sides of a
+    pair, the one side of the plane a tangent point falls on (it fills both
+    slots), neither side when empty (those points are NaN).  ``normals``,
+    ``offsets`` and ``pivots`` are the oriented anchor planes, as
+    :func:`_anchor_planes` gives them.
     """
 
     kind: np.ndarray
@@ -265,7 +192,6 @@ class ExtensionStack:
     normals: np.ndarray
     offsets: np.ndarray
     pivots: np.ndarray
-    discriminants: np.ndarray
 
 
 def extend_stack(anchors, radii, references=None) -> ExtensionStack:
@@ -273,11 +199,10 @@ def extend_stack(anchors, radii, references=None) -> ExtensionStack:
 
     ``anchors`` is (F, K, K), ``radii`` (K,) and shared by all rows,
     ``references`` (F, K) or None.  This is the one placement primitive of
-    the package; :func:`extend_positions` and :func:`hyperplane_through` are
-    its batch-of-one forms, and each row comes out bit for bit as a
-    batch-of-one call on that row would give it.  The signed maximal minors
-    of the anchor differences give both the oriented anchor hyperplane (see
-    :func:`hyperplane_through`, whose ``reference`` rule applies) and the
+    the package, and each row comes out bit for bit as a stack of that row
+    alone would give it.  The signed maximal minors of the anchor
+    differences give both the oriented anchor hyperplane (see
+    :func:`_anchor_planes`, whose ``references`` rule applies) and the
     elimination pivot: subtracting the squared sphere equation of the last
     anchor (the highest ranked one) from the others leaves K-1 linear
     equations, which are solved for every coordinate but the one with the
@@ -287,7 +212,9 @@ def extend_stack(anchors, radii, references=None) -> ExtensionStack:
     one with the smaller signed offset from the plane first, the first root
     on a tie.  Raises DegenerateSpan if any row's anchors are degenerate.
     """
-    X = _square(anchors, 3)
+    X = np.asarray(anchors, dtype=float)
+    if X.ndim != 3 or X.shape[1] != X.shape[2]:
+        raise DimensionMismatch(f"expected K anchors in R^K, got array of shape {X.shape}")
     r = np.asarray(radii, dtype=float)
     F, K = X.shape[0], X.shape[2]
     if r.shape != (K,):
@@ -337,20 +264,4 @@ def extend_stack(anchors, radii, references=None) -> ExtensionStack:
     upper = along[:, 0] - offsets > 0.0
     placed = np.stack([pair | ((kind == _TANGENT) & ~upper),
                        pair | ((kind == _TANGENT) & upper)], axis=1)
-    return ExtensionStack(kind, points, placed, normals, offsets, pivots, disc)
-
-
-def extend_positions(anchors, radii, reference=None) -> ExtensionResult:
-    """Intersect the K spheres ``|z - anchor_u| = radius_u`` in R^K.
-
-    The batch-of-one form of :func:`extend_stack`, which describes the
-    method.  ``points`` holds both placements of a PAIR, side 0 first, the
-    single point of a TANGENT, and nothing when EMPTY.
-    """
-    X = _square(anchors, 2)
-    refs = None if reference is None else np.asarray(reference, dtype=float)[None]
-    ext = extend_stack(X[None], radii, refs)
-    code = int(ext.kind[0])
-    plane = Hyperplane(ext.normals[0], float(ext.offsets[0]), int(ext.pivots[0]))
-    return ExtensionResult(list(ExtensionKind)[code], tuple(ext.points[0, :code]),
-                           float(ext.discriminants[0]), plane)
+    return ExtensionStack(kind, points, placed, normals, offsets, pivots)

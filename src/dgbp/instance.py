@@ -127,9 +127,6 @@ class ValidationReport:
     def codes(self) -> set:
         return {v.code for v in self.violations}
 
-    def for_vertex(self, vertex: int) -> list:
-        return [v for v in self.violations if v.vertex == vertex]
-
     def summary(self) -> str:
         if self.ok:
             return "ok"

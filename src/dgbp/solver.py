@@ -19,8 +19,8 @@ and plain serialization of results.
 
 from __future__ import annotations
 
-import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -302,15 +302,15 @@ def _side_bits(X: np.ndarray, K: int) -> np.ndarray:
     """Side bits of levels K+1..n of the embeddings (S, n, K), shape (S, n - K).
 
     The search orients the plane of level v by the oriented normal of level
-    v-1 (see :func:`hyperplane_through`).  With c the canonical normals,
-    that normal is t * c, where t = +1 at level K+1 and wherever
-    ``|c_v . c_{v-1}| <= EPS_NORMAL`` (a tie keeps the canonical sign), and
-    ``t_v = t_{v-1} * sign(c_v . c_{v-1})`` elsewhere: the parity of the
-    negative turns since the last reset.  Negation is exact, so flipping
-    the sign of the canonical gap ``c . x - offset`` gives the oriented gap
-    bit for bit, and the side bit is 0 on or behind the plane, as in
-    :meth:`Hyperplane.side`.  Works on the S * (n - K) windows as one flat
-    stack, whose consecutive rows are the consecutive levels of one
+    v-1 (see :func:`_anchor_planes` for the orientation and side rules).
+    With c the canonical normals, that normal is t * c, where t = +1 at
+    level K+1 and wherever ``|c_v . c_{v-1}| <= EPS_NORMAL`` (a tie keeps
+    the canonical sign), and ``t_v = t_{v-1} * sign(c_v . c_{v-1})``
+    elsewhere: the parity of the negative turns since the last reset.
+    Negation is exact, so flipping the sign of the canonical gap
+    ``c . x - offset`` gives the oriented gap bit for bit, and the side bit
+    is 0 on or behind the plane.  Works on the S * (n - K) windows as one
+    flat stack, whose consecutive rows are the consecutive levels of one
     embedding, except where a reset starts the next embedding.
     """
     S, n = X.shape[:2]
@@ -461,130 +461,129 @@ def parse_result(text: str) -> SolveResult:
 
     Blank lines and ``#`` comment lines may stand anywhere, and fields are
     separated by any run of whitespace.  The header is read line by line up
-    to the ``solutions:`` line; the solution block is then read in bulk (see
-    ``_read_solutions``).  Only when a bulk check fails does the line loop
-    read the block, to name the line of the error: it raises a line-numbered
-    ParseError for a malformed field or histogram row, a code whose length
-    is not n and a coordinate that is not a finite number.
+    to the ``solutions:`` line (``_read_header``); the solution block is then
+    read in bulk (``_read_solutions``).  Only when a bulk check fails is the
+    block read line by line (``_read_solution_lines``), to name the line of
+    the error.  A malformed field or histogram row, a code whose length is
+    not n and a coordinate that is not a finite number raise a line-numbered
+    ParseError.
     """
     lines = text.splitlines()
-    reader = _LineReader()
-    body = reader.read(lines, 0, until_solutions=True)
-    bulk = _read_solutions(lines[body:], reader.K, reader.n, reader.count)
-    if bulk is None:
-        reader.read(lines, body)
-        return reader.result(text)
-    stack, codes = bulk
-    return SolveResult(None, list(stack), codes, reader.stats)
+    K, n, count, stats, start = _read_header(lines)
+    stack, codes = (_read_solutions(lines[start:], K, n, count)
+                    or _read_solution_lines(lines, start, K, n, count))
+    return SolveResult(None, list(stack), codes, stats)
 
 
-_INT_FIELDS = frozenset({
-    "solution_count", "nodes_feasible", "nodes_infeasible",
-    "candidates_pruned", "empty_extensions", "tangent_events",
-})
+#: The typed header fields; the first three size the solution block.
+_FIELD_TYPES = {
+    "dimension": int, "n": int, "solution_count": int,
+    "nodes_feasible": int, "nodes_infeasible": int, "candidates_pruned": int,
+    "empty_extensions": int, "tangent_events": int, "max_window_residual": float,
+}
 
 
-class _LineReader:
-    """The grammar of a result file, applied one line at a time."""
+def _read_header(lines: list) -> tuple:
+    """The header of a result file, read up to its ``solutions:`` line.
 
-    def __init__(self):
-        self.stats = SolveStats()
-        self.K = self.n = self.count = None
-        self.mode = None
-        self.solutions: list = []
-        self.codes: list = []
-        self.code_lines: list = []
-        self.current: list | None = None
-
-    def read(self, lines: list, start: int, until_solutions: bool = False) -> int:
-        """Feed ``lines[start:]``, skipping blank and comment lines.
-
-        With ``until_solutions``, stops after the ``solutions:`` line and
-        returns its index plus one; otherwise returns ``len(lines)``.
-        """
-        for lineno, raw in enumerate(itertools.islice(lines, start, None), start + 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            self.feed(line, lineno)
-            if until_solutions and self.mode == "solutions":
-                return lineno
-        return len(lines)
-
-    def feed(self, line: str, lineno: int) -> None:
+    Returns ``(K, n, count, stats, start)``: the ``dimension``, ``n`` and
+    ``solution_count`` fields (None where missing), the other fields as
+    SolveStats, and the index of the line after ``solutions:`` (``len(lines)``
+    when there is none).  Blank and comment lines are skipped; a ``:`` line
+    is a field and, after ``child_hist:``, any other line a histogram row.
+    """
+    stats = SolveStats()
+    sizes = dict.fromkeys(("dimension", "n", "solution_count"))
+    hist = False
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
         if line.startswith("code "):
-            if self.mode != "solutions":
-                raise ParseError("'code' line outside solutions block", lineno)
-            bits = line[5:].strip()
-            if not bits or set(bits) - {"0", "1"}:
-                raise ParseError(f"bad code {bits!r}", lineno)
-            if self.n is None or len(bits) != self.n:
-                raise ParseError(f"code of length {len(bits)}, expected n = {self.n}", lineno)
-            self.codes.append(tuple(int(b) for b in bits))
-            self.code_lines.append(lineno)
-            self.current = []
-            self.solutions.append(self.current)
-        elif ":" in line and self.mode != "solutions":
-            key, _, rest = line.partition(":")
-            self.field(key.strip(), rest.strip(), lineno)
-        elif self.mode == "hist":
+            raise ParseError("'code' line outside solutions block", lineno)
+        if ":" not in line:
+            if not hist:
+                raise ParseError(f"unexpected line {line!r}", lineno)
             try:
                 lvl, c0, c1, c2 = map(int, line.split())  # ValueError unless 4 ints
             except ValueError:
                 raise ParseError(f"bad histogram line {line!r}", lineno) from None
-            self.stats.child_hist[lvl] = [c0, c1, c2]
-        elif self.mode == "solutions":
-            if self.current is None:
-                raise ParseError("coordinate row before any 'code' line", lineno)
-            parts = line.split()
-            if self.K is None or len(parts) != self.K:
-                raise ParseError(f"expected {self.K} coordinates, got {len(parts)}", lineno)
-            try:
-                self.current.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"bad coordinate in {line!r}", lineno) from None
-        else:
-            raise ParseError(f"unexpected line {line!r}", lineno)
-
-    def field(self, key: str, rest: str, lineno: int) -> None:
+            stats.child_hist[lvl] = [c0, c1, c2]
+            continue
+        key, _, rest = line.partition(":")
+        key, rest = key.strip(), rest.strip()
+        if key == "solutions":
+            return *sizes.values(), stats, lineno
         if key == "format":
             if not rest.startswith("dgp-result"):
                 raise ParseError(f"not a result file (format {rest!r})", lineno)
         elif key == "status":
-            self.stats.budget_exceeded = rest == "budget-exceeded"
-        elif key in ("child_hist", "solutions"):
-            self.mode = "hist" if key == "child_hist" else "solutions"
-        elif key in ("dimension", "n", "max_window_residual") or key in _INT_FIELDS:
+            stats.budget_exceeded = rest == "budget-exceeded"
+        elif key == "child_hist":
+            hist = True
+        elif key in _FIELD_TYPES:
             try:
-                value = float(rest) if key == "max_window_residual" else int(rest)
+                value = _FIELD_TYPES[key](rest)
             except ValueError:
                 raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
-            if key == "dimension":
-                self.K = value
-            elif key == "n":
-                self.n = value
-            elif key == "solution_count":
-                self.count = value
+            if key in sizes:
+                sizes[key] = value
             else:
-                setattr(self.stats, key, value)
+                setattr(stats, key, value)
         else:
             raise ParseError(f"unknown field {key!r}", lineno)
+    return *sizes.values(), stats, len(lines)
 
-    def result(self, text: str) -> SolveResult:
-        K, n, count, solutions = self.K, self.n, self.count, self.solutions
-        if K is None or n is None or count is None:
-            raise ParseError("missing required result fields")
-        if len(solutions) != count:
-            raise ParseError(f"solution_count says {count}, file has {len(solutions)}")
-        for rows in solutions:
-            if len(rows) != n:
-                raise ParseError(f"solution has {len(rows)} rows, expected {n}")
-        stack = np.asarray(solutions, dtype=float)  # (S, n, K): every shape was checked
-        if solutions and not np.isfinite(stack).all():
-            index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
-            raise ParseError("non-finite coordinate",
-                             _row_line(text, self.code_lines[index], row))
-        return SolveResult(None, list(stack), self.codes, self.stats)
+
+def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
+    """The solution block ``lines[start:]`` read line by line: ``(stack, codes)``.
+
+    The grammar ``_read_solutions`` checks in bulk, applied one line at a
+    time so that each error names its line: a ``code`` line of n 0/1 digits
+    starts a solution, and every other line that is not blank or a comment
+    is one coordinate row of K numbers.  Once the block is read, the header
+    must have given K, n and the count, the count and every solution's rows
+    must match, and the first non-finite coordinate is reported.
+    """
+    codes, sizes, rows = [], [], []
+    nonfinite = None
+    for lineno, raw in enumerate(lines[start:], start + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("code "):
+            bits = line[5:].strip()
+            if not bits or set(bits) - {"0", "1"}:
+                raise ParseError(f"bad code {bits!r}", lineno)
+            if n is None or len(bits) != n:
+                raise ParseError(f"code of length {len(bits)}, expected n = {n}", lineno)
+            codes.append(tuple(map(int, bits)))
+            sizes.append(0)
+            continue
+        if not sizes:
+            raise ParseError("coordinate row before any 'code' line", lineno)
+        parts = line.split()
+        if K is None or len(parts) != K:
+            raise ParseError(f"expected {K} coordinates, got {len(parts)}", lineno)
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"bad coordinate in {line!r}", lineno) from None
+        if nonfinite is None and not all(map(math.isfinite, row)):
+            nonfinite = lineno
+        rows.append(row)
+        sizes[-1] += 1
+    if K is None or n is None or count is None:
+        raise ParseError("missing required result fields")
+    if len(codes) != count:
+        raise ParseError(f"solution_count says {count}, file has {len(codes)}")
+    for size in sizes:
+        if size != n:
+            raise ParseError(f"solution has {size} rows, expected {n}")
+    if nonfinite is not None:
+        raise ParseError("non-finite coordinate", nonfinite)
+    # Every check passed, so there are count * n rows of K values each.
+    return (np.reshape(rows, (count, n, K)) if count else []), codes
 
 
 def _read_solutions(body: list, K, n, count):
@@ -599,8 +598,8 @@ def _read_solutions(body: list, K, n, count):
     holds K tokens iff every (K+1)-th token is a ``;``, that is iff no ``;``
     is left once those are dropped: the float conversion of the rest checks
     that.  Python's ``float`` reads the tokens, so the values are those of
-    the line loop.  Returns None, and leaves naming the error to the line
-    loop, when any check fails.
+    ``_read_solution_lines``.  Returns None, and leaves naming the error to
+    ``_read_solution_lines``, when any check fails.
     """
     if K is None or n is None or count is None or K < 1 or n < 1:
         return None
@@ -634,14 +633,3 @@ def _read_solutions(body: list, K, n, count):
         return None
     codes = (flat - ord("0")).reshape(count, n)
     return values.reshape(-1, K)[rows].reshape(count, n, K), list(map(tuple, codes.tolist()))
-
-
-def _row_line(text: str, code_line: int, row: int) -> int:
-    """Line number of coordinate row ``row`` of the solution coded on ``code_line``.
-
-    As in :func:`parse_result`, every line after a code line that is not
-    blank or a comment is a coordinate row of that solution.
-    """
-    rows = (lineno for lineno, raw in enumerate(text.splitlines()[code_line:], code_line + 1)
-            if raw.strip() and not raw.strip().startswith("#"))
-    return next(itertools.islice(rows, row, None))

@@ -114,7 +114,7 @@ def _mirror_tails(stack: np.ndarray, vertex: int) -> np.ndarray:
     """Partial reflections at ``vertex`` of every solution of an (S, n, K) stack.
 
     One anchor plane per solution, through its rows vertex-1-K..vertex-2 and
-    oriented as :func:`hyperplane_through` orients it without a reference;
+    oriented as :func:`_anchor_planes` orients it without a reference;
     rows from vertex-1 on are mirrored across it, earlier rows are kept.
     """
     K = stack.shape[2]

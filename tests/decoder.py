@@ -21,7 +21,7 @@ def recompute_codes_by_level(inst, stack) -> list:
     normals = None
     for level in range(K + 1, n + 1):
         normals, offsets, _, _ = _anchor_planes(X[:, level - 1 - K : level - 1], normals)
-        # Hyperplane.side: 0 on or behind the plane, 1 otherwise (see row_dots
+        # The side bit: 0 on or behind the plane, 1 otherwise (see row_dots
         # for the contiguous copy).
         along = row_dots(normals, np.ascontiguousarray(X[:, level - 1]))
         bits[:, level - 1] = ~(along - offsets <= 0.0)

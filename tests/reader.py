@@ -1,0 +1,140 @@
+"""The line-by-line result reader the package's ``parse_result`` is checked against.
+
+``parse_result_by_line`` applies the result grammar one line at a time to
+the whole file, header and solution block alike, and names the line of
+every error it finds.  It is slow on large results, but easy to trust.
+"""
+
+import itertools
+
+import numpy as np
+
+from dgbp.errors import ParseError
+from dgbp.solver import SolveResult, SolveStats
+
+
+def parse_result_by_line(text: str) -> SolveResult:
+    """``parse_result`` by the line loop alone."""
+    reader = _LineReader()
+    reader.read(text.splitlines(), 0)
+    return reader.result(text)
+
+
+_INT_FIELDS = frozenset({
+    "solution_count", "nodes_feasible", "nodes_infeasible",
+    "candidates_pruned", "empty_extensions", "tangent_events",
+})
+
+
+class _LineReader:
+    """The grammar of a result file, applied one line at a time."""
+
+    def __init__(self):
+        self.stats = SolveStats()
+        self.K = self.n = self.count = None
+        self.mode = None
+        self.solutions: list = []
+        self.codes: list = []
+        self.code_lines: list = []
+        self.current: list | None = None
+
+    def read(self, lines: list, start: int, until_solutions: bool = False) -> int:
+        """Feed ``lines[start:]``, skipping blank and comment lines.
+
+        With ``until_solutions``, stops after the ``solutions:`` line and
+        returns its index plus one; otherwise returns ``len(lines)``.
+        """
+        for lineno, raw in enumerate(itertools.islice(lines, start, None), start + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            self.feed(line, lineno)
+            if until_solutions and self.mode == "solutions":
+                return lineno
+        return len(lines)
+
+    def feed(self, line: str, lineno: int) -> None:
+        if line.startswith("code "):
+            if self.mode != "solutions":
+                raise ParseError("'code' line outside solutions block", lineno)
+            bits = line[5:].strip()
+            if not bits or set(bits) - {"0", "1"}:
+                raise ParseError(f"bad code {bits!r}", lineno)
+            if self.n is None or len(bits) != self.n:
+                raise ParseError(f"code of length {len(bits)}, expected n = {self.n}", lineno)
+            self.codes.append(tuple(int(b) for b in bits))
+            self.code_lines.append(lineno)
+            self.current = []
+            self.solutions.append(self.current)
+        elif ":" in line and self.mode != "solutions":
+            key, _, rest = line.partition(":")
+            self.field(key.strip(), rest.strip(), lineno)
+        elif self.mode == "hist":
+            try:
+                lvl, c0, c1, c2 = map(int, line.split())  # ValueError unless 4 ints
+            except ValueError:
+                raise ParseError(f"bad histogram line {line!r}", lineno) from None
+            self.stats.child_hist[lvl] = [c0, c1, c2]
+        elif self.mode == "solutions":
+            if self.current is None:
+                raise ParseError("coordinate row before any 'code' line", lineno)
+            parts = line.split()
+            if self.K is None or len(parts) != self.K:
+                raise ParseError(f"expected {self.K} coordinates, got {len(parts)}", lineno)
+            try:
+                self.current.append([float(p) for p in parts])
+            except ValueError:
+                raise ParseError(f"bad coordinate in {line!r}", lineno) from None
+        else:
+            raise ParseError(f"unexpected line {line!r}", lineno)
+
+    def field(self, key: str, rest: str, lineno: int) -> None:
+        if key == "format":
+            if not rest.startswith("dgp-result"):
+                raise ParseError(f"not a result file (format {rest!r})", lineno)
+        elif key == "status":
+            self.stats.budget_exceeded = rest == "budget-exceeded"
+        elif key in ("child_hist", "solutions"):
+            self.mode = "hist" if key == "child_hist" else "solutions"
+        elif key in ("dimension", "n", "max_window_residual") or key in _INT_FIELDS:
+            try:
+                value = float(rest) if key == "max_window_residual" else int(rest)
+            except ValueError:
+                raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
+            if key == "dimension":
+                self.K = value
+            elif key == "n":
+                self.n = value
+            elif key == "solution_count":
+                self.count = value
+            else:
+                setattr(self.stats, key, value)
+        else:
+            raise ParseError(f"unknown field {key!r}", lineno)
+
+    def result(self, text: str) -> SolveResult:
+        K, n, count, solutions = self.K, self.n, self.count, self.solutions
+        if K is None or n is None or count is None:
+            raise ParseError("missing required result fields")
+        if len(solutions) != count:
+            raise ParseError(f"solution_count says {count}, file has {len(solutions)}")
+        for rows in solutions:
+            if len(rows) != n:
+                raise ParseError(f"solution has {len(rows)} rows, expected {n}")
+        stack = np.asarray(solutions, dtype=float)  # (S, n, K): every shape was checked
+        if solutions and not np.isfinite(stack).all():
+            index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
+            raise ParseError("non-finite coordinate",
+                             _row_line(text, self.code_lines[index], row))
+        return SolveResult(None, list(stack), self.codes, self.stats)
+
+
+def _row_line(text: str, code_line: int, row: int) -> int:
+    """Line number of coordinate row ``row`` of the solution coded on ``code_line``.
+
+    As in :func:`parse_result`, every line after a code line that is not
+    blank or a comment is a coordinate row of that solution.
+    """
+    rows = (lineno for lineno, raw in enumerate(text.splitlines()[code_line:], code_line + 1)
+            if raw.strip() and not raw.strip().startswith("#"))
+    return next(itertools.islice(rows, row, None))

@@ -14,14 +14,8 @@ import pytest
 
 from corpus import build_corpus
 from dgbp.errors import AmbiguousSpectrum
-from dgbp.geometry import (
-    Hyperplane,
-    cayley_menger_volume,
-    extend_positions,
-    ExtensionKind,
-    hyperplane_through,
-    reflect,
-)
+from decoder import recompute_codes_by_level
+from dgbp.geometry import _PAIR, cayley_menger_volume, extend_stack, reflect_stack
 from dgbp.instance import counterexample, random_instance
 from dgbp.solver import brute_force, recompute_code, recompute_codes, solve
 from dgbp.symmetry import (
@@ -133,36 +127,24 @@ def test_criterion_5_oracle_equivalence():
           f"{len(corpus)} fixtures ({elapsed:.2f}s)")
 
 
-def codes_by_planes(inst, embedding):
-    """Side bits of one embedding, one hyperplane_through per level, each
-    oriented by the normal of the level before."""
-    K = inst.dimension
-    bits, normal = [0] * K, None
-    for level in range(K + 1, inst.n + 1):
-        plane = hyperplane_through(embedding[level - 1 - K : level - 1], reference=normal)
-        bits.append(plane.side(embedding[level - 1]))
-        normal = plane.normal
-    return tuple(bits)
-
-
 def test_stacked_code_recomputation(batch_results):
     # recompute_codes (one anchor-plane call per chunk of embeddings, then a
-    # sign scan over the levels) gives the per-embedding codes, on the
-    # oracle's embeddings of the counterexample family and on the solutions
-    # of the seeded batch
+    # sign scan over the levels) gives the codes of one oriented plane per
+    # level, on the oracle's embeddings of the counterexample family and on
+    # the solutions of the seeded batch
     rows = 0
     for K in (1, 2, 3, 4):
         inst = counterexample(K)
         stack = np.asarray(brute_force(inst))
-        want = [codes_by_planes(inst, emb) for emb in stack]
+        want = recompute_codes_by_level(inst, stack)
         assert recompute_codes(inst, stack) == want
         assert [recompute_code(inst, emb) for emb in stack] == want  # batch of one
         rows += len(stack)
     for inst, result in batch_results:
         stack = np.asarray(result.solutions)
-        assert recompute_codes(inst, stack) == [codes_by_planes(inst, emb) for emb in stack]
+        assert recompute_codes(inst, stack) == recompute_codes_by_level(inst, stack)
         rows += len(stack)
-    print(f"stacked code recomputation matches the per-embedding planes on {rows} embeddings")
+    print(f"stacked code recomputation matches the per-level planes on {rows} embeddings")
 
 
 def test_criterion_6_distance_spectra():
@@ -195,12 +177,14 @@ def test_criterion_7_geometry_unit_suite():
         while np.linalg.norm(vec) < 1e-3:
             vec = rng.normal(size=K)
         normal = vec / np.linalg.norm(vec)
-        plane = Hyperplane(normal=normal, offset=float(rng.normal()),
-                           pivot_index=int(np.argmax(np.abs(normal) > 1e-12)))
+        plane = ([normal], [float(rng.normal())], [int(np.argmax(np.abs(normal) > 1e-12))])
         p, q = rng.normal(size=K), rng.normal(size=K)
-        assert np.max(np.abs(reflect(plane, reflect(plane, p)) - p)) <= 1e-12
+        # one plane, mirroring the rows p, q and then their images
+        once = reflect_stack(*plane, np.array([[p, q]]))
+        twice = reflect_stack(*plane, once)[0]
+        assert np.max(np.abs(twice - [p, q])) <= 1e-12
         d0 = float(np.linalg.norm(p - q))
-        d1 = float(np.linalg.norm(reflect(plane, p) - reflect(plane, q)))
+        d1 = float(np.linalg.norm(once[0, 0] - once[0, 1]))
         assert abs(d1 - d0) <= 1e-12 + 1e-12 * d0
 
     pairs = 0
@@ -216,12 +200,12 @@ def test_criterion_7_geometry_unit_suite():
         radii = np.linalg.norm(anchors - target, axis=1)
         if np.any(radii <= 1e-9):
             continue
-        ext = extend_positions(anchors, radii)
-        if ext.kind is not ExtensionKind.PAIR:
+        ext = extend_stack(anchors[None], radii)
+        if ext.kind[0] != _PAIR:
             continue
-        z1, z2 = ext.points
-        plane = hyperplane_through(anchors)
-        assert np.max(np.abs(reflect(plane, z1) - z2)) <= 1e-9
+        # side 0 mirrored across the anchor plane is side 1
+        mirrored = reflect_stack(ext.normals, ext.offsets, ext.pivots, ext.points[:, :1])
+        assert np.max(np.abs(mirrored[0, 0] - ext.points[0, 1])) <= 1e-9
         pairs += 1
     assert pairs >= 9_900
     print(f"ACCEPTANCE 7 PASS: geometry invariants hold "

@@ -4,11 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import fixture_path
 from dgbp.cli import _plot_table, main, split_trailer
+from dgbp.errors import ParseError
 from dgbp.instance import parse_instance, random_instance, serialize_instance
-from dgbp.solver import solve
+from dgbp.solver import parse_result, solve
 from writer import plot_table_by_row
 
 
@@ -270,6 +272,73 @@ class TestMalformedResult:
         assert main(["verify", str(fixture_path("chain_k2_n5")), str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("parse error: line ") for line in err)
+
+
+#: What a mutation may put into a file: digits, signs, separators, markers,
+#: letters of field names and of nan/inf, and one character beyond ASCII.
+MUTATION_ALPHABET = "0123456789.-+e :#\n\tnaifx\u00e9"
+
+#: Every exit code the CLI documents.
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+
+def mutated(data, text):
+    """``text`` with 1-4 characters replaced, inserted or deleted."""
+    chars = list(text)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(chars) - 1))
+        edit = data.draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "delete":
+            del chars[at]
+            continue
+        char = data.draw(st.sampled_from(MUTATION_ALPHABET))
+        if edit == "replace":
+            chars[at] = char
+        else:
+            chars.insert(at, char)
+    return "".join(chars)
+
+
+def parses(parse, text):
+    """A clean parse, or a ParseError; any other exception propagates."""
+    try:
+        parse(text)
+    except ParseError:
+        return False
+    return True
+
+
+class TestMutationFuzz:
+    """Mutated instance and result files give a clean parse, a ParseError or
+    a documented exit code, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("fuzz")
+        instance = fixture_path("random_05")
+        assert main(["solve", str(instance), "--out", str(work / "result.txt")]) == 0
+        return work, read(instance), read(work / "result.txt")
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_no_traceback(self, originals, data):
+        work, instance_text, result_text = originals
+        which = data.draw(st.sampled_from(("instance", "result", "both")))
+        if which != "result":
+            instance_text = mutated(data, instance_text)
+        if which != "instance":
+            result_text = mutated(data, result_text)
+        parses(parse_instance, instance_text)
+        parses(parse_result, result_text)
+        instance, result = work / "instance.txt", work / "mutated.result.txt"
+        for path, text in ((instance, instance_text), (result, result_text)):
+            # a new file each time: truncating the old one can force a flush
+            path.unlink(missing_ok=True)
+            path.write_text(text, encoding="utf-8")
+        for argv in (["solve", str(instance), "--out", str(work / "solved.txt")],
+                     ["analyze", str(result), "--out", str(work / "report.txt")],
+                     ["verify", str(instance), str(result), "--oracle"]):
+            assert main(argv) in EXIT_CODES, argv
 
 
 class TestDeterminism:

@@ -7,14 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from dgbp.errors import DegenerateSpan, DimensionMismatch, NegativeDeterminant
 from dgbp.geometry import (
     EPS_NORMAL,
-    ExtensionKind,
-    Hyperplane,
+    _EMPTY,
+    _PAIR,
+    _TANGENT,
     cayley_menger_volume,
-    extend_positions,
     extend_stack,
-    hyperplane_through,
     _anchor_planes,
-    reflect,
     reflect_stack,
 )
 from dgbp.instance import regular_simplex
@@ -24,6 +22,30 @@ def sq_dist_matrix(points):
     P = np.asarray(points, dtype=float)
     diff = P[:, None, :] - P[None, :, :]
     return np.sum(diff**2, axis=2)
+
+
+def plane(points, reference=None):
+    """``(normal, offset, pivot)`` of the oriented plane through one anchor set."""
+    refs = None if reference is None else np.asarray([reference], dtype=float)
+    normals, offsets, pivots, _ = _anchor_planes(np.asarray([points], dtype=float), refs)
+    return normals[0], float(offsets[0]), int(pivots[0])
+
+
+def side(normal, offset, point) -> int:
+    """The side bit: 0 when ``normal . point - offset <= 0``, else 1."""
+    return 0 if float(normal @ point) - offset <= 0.0 else 1
+
+
+def mirror(normal, offset, pivot, point):
+    """``point`` reflected across one plane, by reflect_stack on a stack of one."""
+    p = np.asarray(point, dtype=float)[None, None]
+    return reflect_stack(np.asarray([normal], dtype=float), [offset], [pivot], p)[0, 0]
+
+
+def extend_one(anchors, radii, reference=None):
+    """extend_stack on a stack of one anchor set."""
+    refs = None if reference is None else np.asarray([reference], dtype=float)
+    return extend_stack(np.asarray([anchors], dtype=float), radii, refs)
 
 
 def random_anchors(rng, K, min_volume=1e-6):
@@ -84,55 +106,62 @@ class TestCayleyMenger:
 
 
 class TestHyperplane:
+    """The oriented anchor hyperplane, by _anchor_planes on a stack of one."""
+
     def test_x_axis_canonical(self):
-        h = hyperplane_through([[0, 0], [1, 0]])
-        assert np.allclose(h.normal, [0, 1], atol=1e-12)
-        assert h.offset == pytest.approx(0.0, abs=1e-12)
-        assert h.pivot_index == 1
+        normal, offset, pivot = plane([[0, 0], [1, 0]])
+        assert np.allclose(normal, [0, 1], atol=1e-12)
+        assert offset == pytest.approx(0.0, abs=1e-12)
+        assert pivot == 1
 
     def test_reference_flips_normal(self):
-        h = hyperplane_through([[0, 0], [1, 0]], reference=[0, -1])
-        assert np.allclose(h.normal, [0, -1], atol=1e-12)
-        assert h.offset == pytest.approx(0.0, abs=1e-12)
+        normal, offset, _ = plane([[0, 0], [1, 0]], reference=[0, -1])
+        assert np.allclose(normal, [0, -1], atol=1e-12)
+        assert offset == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("reference", [[1, 0], [-1, 0], [2.5, -1e-13]])
+    def test_orthogonal_reference_keeps_canonical_sign(self, reference):
+        # |normal . reference| <= EPS_NORMAL is a tie: the pivot stays positive
+        normal, _, _ = plane([[0, 0], [1, 0]], reference=reference)
+        assert normal.tolist() == [0.0, 1.0]
 
     def test_symmetric_plane_k3(self):
-        h = hyperplane_through([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert np.allclose(h.normal, np.ones(3) / math.sqrt(3), atol=1e-12)
-        assert h.offset == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+        normal, offset, _ = plane([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert np.allclose(normal, np.ones(3) / math.sqrt(3), atol=1e-12)
+        assert offset == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
     def test_single_point_k1(self):
-        h = hyperplane_through([[2.5]])
-        assert h.normal[0] == 1.0
-        assert h.offset == pytest.approx(2.5)
+        normal, offset, _ = plane([[2.5]])
+        assert normal[0] == 1.0
+        assert offset == pytest.approx(2.5)
 
     def test_degenerate_span(self):
         with pytest.raises(DegenerateSpan):
-            hyperplane_through([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+            plane([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         with pytest.raises(DegenerateSpan):
-            hyperplane_through([[1, 1], [1, 1]])
+            plane([[1, 1], [1, 1]])
 
     def test_contains_points_and_unit_normal(self):
         rng = np.random.default_rng(11)
         for K in (2, 3, 4):
             for _ in range(40):
                 pts = random_anchors(rng, K)
-                h = hyperplane_through(pts)
-                assert abs(np.linalg.norm(h.normal) - 1.0) <= 1e-12
-                assert np.max(np.abs(pts @ h.normal - h.offset)) <= 1e-10
+                normal, offset, _ = plane(pts)
+                assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+                assert np.max(np.abs(pts @ normal - offset)) <= 1e-10
 
 
 class TestReflect:
+    """reflect_stack, on one point and on stacks."""
+
     def test_mirror_across_x_axis(self):
-        h = hyperplane_through([[0, 0], [1, 0]])
-        assert np.allclose(reflect(h, [1, 1]), [1, -1], atol=1e-12)
+        assert np.allclose(mirror(*plane([[0, 0], [1, 0]]), [1, 1]), [1, -1], atol=1e-12)
 
     def test_point_on_plane_is_fixed(self):
-        h = Hyperplane(normal=np.array([1.0, 0.0]), offset=2.0, pivot_index=0)
-        assert np.allclose(reflect(h, [2, 7]), [2, 7], atol=1e-12)
+        assert np.allclose(mirror([1.0, 0.0], 2.0, 0, [2, 7]), [2, 7], atol=1e-12)
 
     def test_offset_plane_mirror(self):
-        h = Hyperplane(normal=np.array([1.0, 0.0]), offset=2.0, pivot_index=0)
-        assert np.allclose(reflect(h, [0, 0]), [4, 0], atol=1e-12)
+        assert np.allclose(mirror([1.0, 0.0], 2.0, 0, [0, 0]), [4, 0], atol=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, derandomize=True)
@@ -143,26 +172,24 @@ class TestReflect:
         while np.linalg.norm(vec) < 1e-3:
             vec = rng.normal(size=K)
         normal = vec / np.linalg.norm(vec)
-        h = Hyperplane(normal=normal, offset=float(rng.normal()),
-                       pivot_index=int(np.argmax(np.abs(normal) > 1e-12)))
+        h = (normal, float(rng.normal()), int(np.argmax(np.abs(normal) > 1e-12)))
         p, q = rng.normal(size=K), rng.normal(size=K)
-        assert np.max(np.abs(reflect(h, reflect(h, p)) - p)) <= 1e-12
+        assert np.max(np.abs(mirror(*h, mirror(*h, p)) - p)) <= 1e-12
         d0 = np.linalg.norm(p - q)
-        d1 = np.linalg.norm(reflect(h, p) - reflect(h, q))
+        d1 = np.linalg.norm(mirror(*h, p) - mirror(*h, q))
         assert abs(d1 - d0) <= 1e-12 + 1e-12 * d0
 
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, derandomize=True)
     def test_stack_rows_match_scalar_formula_bit_for_bit(self, seed):
-        def scalar(plane, point):
+        def scalar(a, offset, pivot, point):
             # the single-point formula reflect_stack generalises
-            a = plane.normal
-            shift = plane.offset / a[plane.pivot_index]
+            shift = offset / a[pivot]
             q = np.array(point, dtype=float)
-            q[plane.pivot_index] -= shift
+            q[pivot] -= shift
             q = q - 2.0 * float(a @ q) * a
-            q[plane.pivot_index] += shift
+            q[pivot] += shift
             return q
 
         rng = np.random.default_rng(seed)
@@ -177,11 +204,11 @@ class TestReflect:
         assert mirrored.shape == (S, T, K)
         assert np.array_equal(points, before)
         for s in range(S):
-            plane = Hyperplane(normals[s], float(offsets[s]), int(pivots[s]))
+            h = (normals[s], float(offsets[s]), int(pivots[s]))
             for t in range(T):
-                want = scalar(plane, points[s, t]).tobytes()
+                want = scalar(*h, points[s, t]).tobytes()
                 assert mirrored[s, t].tobytes() == want
-                assert reflect(plane, points[s, t]).tobytes() == want
+                assert mirror(*h, points[s, t]).tobytes() == want
 
 
 def numeric_sphere_roots(anchors, radii, starts=100, seed=0):
@@ -209,23 +236,28 @@ def numeric_sphere_roots(anchors, radii, starts=100, seed=0):
 
 
 class TestExtendPositions:
+    """extend_stack on stacks of one anchor set."""
+
     def test_unit_circle_pair(self):
-        ext = extend_positions([[0, 0], [1, 0]], [1, 1])
-        assert ext.kind is ExtensionKind.PAIR
-        got = sorted(map(tuple, ext.points))
+        ext = extend_one([[0, 0], [1, 0]], [1, 1])
+        assert ext.kind.tolist() == [_PAIR]
+        assert ext.placed.tolist() == [[True, True]]
+        got = sorted(map(tuple, ext.points[0]))
         want = [(0.5, -math.sqrt(3) / 2), (0.5, math.sqrt(3) / 2)]
         assert np.allclose(got, want, atol=1e-12)
 
     def test_disjoint_circles_empty(self):
-        ext = extend_positions([[0, 0], [1, 0]], [1, 3])
-        assert ext.kind is ExtensionKind.EMPTY
-        assert ext.discriminant < 0
-        assert ext.points == ()
+        ext = extend_one([[0, 0], [1, 0]], [1, 3])
+        assert ext.kind.tolist() == [_EMPTY]
+        assert ext.placed.tolist() == [[False, False]]
+        assert np.isnan(ext.points).all()
 
     def test_tangent_circles(self):
-        ext = extend_positions([[0, 0], [2, 0]], [1, 1])
-        assert ext.kind is ExtensionKind.TANGENT
-        assert np.allclose(ext.points[0], [1, 0], atol=1e-12)
+        ext = extend_one([[0, 0], [2, 0]], [1, 1])
+        assert ext.kind.tolist() == [_TANGENT]
+        assert ext.placed[0].sum() == 1
+        assert np.array_equal(ext.points[0, 0], ext.points[0, 1])
+        assert np.allclose(ext.points[0, 0], [1, 0], atol=1e-12)
 
     def test_three_spheres_match_numeric_oracle(self):
         anchors = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
@@ -235,22 +267,32 @@ class TestExtendPositions:
         oracle = numeric_sphere_roots(anchors, radii)
         assert len(oracle) == 2
         assert np.allclose(oracle, frozen, atol=1e-9)
-        ext = extend_positions(anchors, radii)
-        assert ext.kind is ExtensionKind.PAIR
-        assert np.allclose(sorted(map(tuple, ext.points)), frozen, atol=1e-9)
+        ext = extend_one(anchors, radii)
+        assert ext.kind.tolist() == [_PAIR]
+        assert np.allclose(sorted(map(tuple, ext.points[0])), frozen, atol=1e-9)
 
     def test_k1_two_points_on_line(self):
-        ext = extend_positions([[3.0]], [2.0])
-        assert ext.kind is ExtensionKind.PAIR
-        assert sorted(p[0] for p in ext.points) == pytest.approx([1.0, 5.0])
+        ext = extend_one([[3.0]], [2.0])
+        assert ext.kind.tolist() == [_PAIR]
+        assert sorted(p[0] for p in ext.points[0]) == pytest.approx([1.0, 5.0])
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            extend_positions([[0, 0], [1, 0]], [1, 0])
+            extend_one([[0, 0], [1, 0]], [1, 0])
+        with pytest.raises(ValueError):
+            extend_one([[0, 0], [1, 0]], [1, -1])
 
     def test_degenerate_anchors(self):
         with pytest.raises(DegenerateSpan):
-            extend_positions([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [1, 1, 1])
+            extend_one([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [1, 1, 1])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            extend_stack([[0, 0], [1, 0]], [1, 1])  # one anchor set, not a stack
+        with pytest.raises(DimensionMismatch):
+            extend_stack([[[0, 0, 0], [1, 0, 0]]], [1, 1, 1])  # 2 anchors in R^3
+        with pytest.raises(DimensionMismatch):
+            extend_one([[0, 0], [1, 0]], [1, 1, 1])
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_pair_points_are_reflections_and_on_spheres(self, K):
@@ -261,12 +303,12 @@ class TestExtendPositions:
             radii = np.linalg.norm(anchors - target, axis=1)
             if np.any(radii <= 1e-6):
                 continue
-            ext = extend_positions(anchors, radii)
-            assert ext.kind is ExtensionKind.PAIR
-            plane = hyperplane_through(anchors)
-            z1, z2 = ext.points
-            assert np.max(np.abs(reflect(plane, z1) - z2)) <= 1e-9
-            for z in ext.points:
+            ext = extend_one(anchors, radii)
+            assert ext.kind.tolist() == [_PAIR]
+            z1, z2 = ext.points[0]
+            h = (ext.normals[0], float(ext.offsets[0]), int(ext.pivots[0]))
+            assert np.max(np.abs(mirror(*h, z1) - z2)) <= 1e-9
+            for z in ext.points[0]:
                 residual = np.abs(np.linalg.norm(anchors - z, axis=1) - radii)
                 assert np.max(residual / np.maximum(radii, 1e-12)) <= 1e-9
             # the sampled target must be one of the two intersection points
@@ -282,20 +324,18 @@ class TestExtendPositions:
         reference = rng.normal(size=K)
         radii = np.linalg.norm(anchors - target, axis=1)
         assume(np.all(radii > 1e-6))
-        ext = extend_positions(anchors, radii, reference)
-        assume(ext.kind is ExtensionKind.PAIR)
-        plane = ext.plane
-        fitted = hyperplane_through(anchors, reference)
-        assert np.array_equal(plane.normal, fitted.normal)
-        assert (plane.offset, plane.pivot_index) == (fitted.offset, fitted.pivot_index)
-        assert [plane.side(z) for z in ext.points] == [0, 1]
-        along = float(plane.normal @ reference)
+        ext = extend_one(anchors, radii, reference)
+        assume(ext.kind[0] == _PAIR)
+        normal, offset, pivot = plane(anchors, reference)
+        assert np.array_equal(ext.normals[0], normal)
+        assert (ext.offsets[0], ext.pivots[0]) == (offset, pivot)
+        assert [side(normal, offset, z) for z in ext.points[0]] == [0, 1]
+        along = float(normal @ reference)
         if abs(along) > EPS_NORMAL:
             assert along > 0.0
         # the SVD null vector of the anchor differences, as an outside reference
         null = np.array([1.0]) if K == 1 else np.linalg.svd(anchors[1:] - anchors[0])[2][-1]
-        assert min(np.linalg.norm(plane.normal - null),
-                   np.linalg.norm(plane.normal + null)) <= 1e-12
+        assert min(np.linalg.norm(normal - null), np.linalg.norm(normal + null)) <= 1e-12
 
 
 def anchors_around(rng, radii, kind):
@@ -307,19 +347,19 @@ def anchors_around(rng, radii, kind):
     """
     K = len(radii)
     z = rng.random(K)
-    if kind is ExtensionKind.PAIR:
+    if kind == _PAIR:
         d = rng.normal(size=(K, K))
         return z + radii[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
     v = regular_simplex(K - 1)
     v = v - v.mean(0)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     basis = np.linalg.qr(rng.normal(size=(K, K)))[0][:, : K - 1]
-    scale = 1.0 if kind is ExtensionKind.TANGENT else 1.5
+    scale = 1.0 if kind == _TANGENT else 1.5
     return z + scale * radii[:, None] * (v @ basis.T)
 
 
 class TestExtendStack:
-    FIELDS = ("kind", "points", "placed", "normals", "offsets", "pivots", "discriminants")
+    FIELDS = ("kind", "points", "placed", "normals", "offsets", "pivots")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, derandomize=True)
@@ -328,27 +368,18 @@ class TestExtendStack:
         K = int(rng.integers(1, 5))
         F = int(rng.integers(1, 10))
         radii = rng.uniform(0.5, 2.0, K)
-        kinds = [ExtensionKind.PAIR if K == 1 else list(ExtensionKind)[rng.integers(0, 3)]
-                 for _ in range(F)]
+        kinds = [_PAIR if K == 1 else int(rng.integers(0, 3)) for _ in range(F)]
         X = np.stack([anchors_around(rng, radii, kind) for kind in kinds])
         refs = rng.normal(size=(F, K)) if rng.random() < 0.7 else None
         ext = extend_stack(X, radii, refs)
-        assert [list(ExtensionKind)[k] for k in ext.kind] == kinds
+        assert ext.kind.tolist() == kinds
         for f in range(F):
-            ref = None if refs is None else refs[f]
             one = extend_stack(X[f : f + 1], radii, None if refs is None else refs[f : f + 1])
             for name in self.FIELDS:
                 assert getattr(ext, name)[f].tobytes() == getattr(one, name)[0].tobytes(), name
-            wrapped = extend_positions(X[f], radii, ref)
-            assert wrapped.kind is kinds[f]
-            assert [p.tobytes() for p in wrapped.points] == [
-                ext.points[f, s].tobytes() for s in (0, 1) if ext.placed[f, s]]
-            plane = hyperplane_through(X[f], ref)
-            assert plane.normal.tobytes() == ext.normals[f].tobytes()
-            assert (plane.offset, plane.pivot_index) == (ext.offsets[f], ext.pivots[f])
-            if kinds[f] is ExtensionKind.TANGENT:
+            if kinds[f] == _TANGENT:
                 # a fresh contiguous point, as the node-by-node search had
-                s = plane.side(ext.points[f, 0].copy())
+                s = side(ext.normals[f], ext.offsets[f], ext.points[f, 0].copy())
                 assert ext.placed[f].tolist() == [s == 0, s == 1]
 
     def test_degenerate_row_raises(self):

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from dgbp.errors import DegenerateSpan, DimensionMismatch, InvalidInstance, NodeBudgetExceeded
 from dgbp.instance import Instance, counterexample, edge_violations, random_instance
 from dgbp.errors import ParseError
-from dgbp.geometry import hyperplane_through
+from dgbp.geometry import _anchor_planes
 from dgbp.solver import (
     BATCH_ROWS,
     SolveResult,
     SolveStats,
     SolverOptions,
-    _LineReader,
+    _read_header,
     _read_solutions,
     brute_force,
     parse_result,
@@ -27,6 +27,7 @@ from dgbp.solver import (
 )
 from dgbp.symmetry import verify_orbit
 from decoder import recompute_codes_by_level
+from reader import parse_result_by_line
 from writer import serialize_result_by_solution
 
 
@@ -342,13 +343,6 @@ def small_results():
             for K in (1, 2, 3, 4) for seed, p in enumerate((0.0, 0.3, 0.6))]
 
 
-def line_loop(text):
-    """parse_result by the line loop alone, the reference for the bulk read."""
-    reader = _LineReader()
-    reader.read(text.splitlines(), 0)
-    return reader.result(text)
-
-
 def outcome(parse, text):
     try:
         result = parse(text)
@@ -363,6 +357,14 @@ LAYOUTS = ("blank", "comment", "tabs", "double-spaces", "trailing", "code-spaces
 TOKEN_DAMAGES = ("nan", "x", "1_0", "")
 DAMAGES = (*TOKEN_DAMAGES, "bit-2", "drop-row", "move-token", "long-row", "move-bit",
            "code-tab", "twin-damage", "repeat-damage")
+
+
+HEADER_CHANGES = (*(f"{verb} {key}" for verb in ("drop", "set")
+                    for key in ("dimension", "n", "solution_count")),
+                  "drop solutions", "drop child_hist", "hist-row", "row-before-hist",
+                  "early-code", "unknown-field", "wrong-format", "empty-block", "no-solutions")
+SIZE_VALUES = ("0", "-1", "1", "2", "5", "x", "", "2.5", "1_0", "+3", "1e3")
+HIST_ROWS = ("1 0 x 0", "1 0 0", "1 0 0 0 0", "a b c d", "1.0 0 0 0", "7 1 1 1")
 
 
 class TestBulkRead:
@@ -444,13 +446,75 @@ class TestBulkRead:
             else:
                 damage(rows[at % len(rows)], change)
         text = ("\r\n" if data.draw(st.booleans()) else "\n").join(lines)
-        assert outcome(parse_result, text) == outcome(line_loop, text)
+        assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
         if not damages:
             # layout alone never sends the read to the line loop
             split = text.splitlines()
-            reader = _LineReader()
-            start = reader.read(split, 0, until_solutions=True)
-            assert _read_solutions(split[start:], reader.K, reader.n, reader.count)
+            K, n, count, _, start = _read_header(split)
+            assert _read_solutions(split[start:], K, n, count)
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_header_matches_line_loop(self, small_results, data):
+        lines = data.draw(st.sampled_from(small_results)).splitlines()
+
+        def find(prefix):
+            return next((i for i, line in enumerate(lines) if line.startswith(prefix)), None)
+
+        for change in data.draw(st.lists(st.sampled_from(HEADER_CHANGES), min_size=1,
+                                         max_size=3)):
+            body = find("solutions:")
+            hist = find("child_hist:")
+            key = change.partition(" ")[2]
+            at = find(key + ":") if key else None
+            if change.startswith("drop ") and at is not None:
+                del lines[at]
+            elif change.startswith("set ") and at is not None:
+                lines[at] = f"{key}: {data.draw(st.sampled_from(SIZE_VALUES))}"
+            elif change == "hist-row" and hist is not None:
+                row = data.draw(st.sampled_from(HIST_ROWS))
+                lines.insert(data.draw(st.integers(hist + 1, body or len(lines))), row)
+            elif change == "row-before-hist":
+                lines.insert(data.draw(st.integers(0, hist or len(lines))), "1 0 0 1")
+            elif change == "early-code" and body is not None:
+                code = find("code ")
+                if code is not None:
+                    lines.insert(data.draw(st.integers(0, body)), lines[code])
+            elif change == "unknown-field":
+                lines.insert(data.draw(st.integers(0, body or len(lines))), "colour: blue")
+            elif change == "wrong-format":
+                lines[0] = "format: dgp-instance 1"
+            elif change == "empty-block" and body is not None:
+                del lines[body + 1 :]
+            elif change == "no-solutions" and body is not None:
+                del lines[body + 1 :]
+                count = find("solution_count:")
+                if count is not None:
+                    lines[count] = "solution_count: 0"
+        text = "\n".join(lines)
+        assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "format: dgp-result 1\nsolutions:\n",
+        "dimension: 0\nn: 3\nsolution_count: 0\nsolutions:\n",
+        "dimension: 2\nn: 0\nsolution_count: 0\nsolutions:\n",
+        "dimension: -1\nn: -1\nsolution_count: 0\n",
+        "dimension: 1\nn: 2\nsolution_count: 0\n",
+        "dimension: 1\nn: 2\nsolution_count: 1\n",
+        "dimension: 1\nn: 2\nsolution_count: 0\nsolutions:\ncode 01\n0.5\n1.5\n",
+        "dimension: 1\nn: 2\nsolutions:\ncode 01\n0.5\n1.5\n",
+        "n: 2\nsolution_count: 1\nsolutions:\ncode 01\n0.5\n1.5\n",
+        "dimension: 1\nsolution_count: 1\nsolutions:\ncode 01\n0.5\n1.5\n",
+        "dimension: 1\nn: 2\nsolution_count: 1\nsolutions:\ncode 01\nnan\n1.5\n",
+        "dimension: 1\nn: 2\nsolution_count: 1\ncode 01\nsolutions:\n",
+        "dimension: 1\nn: 2\nchild_hist:\n1 0 0\nsolutions:\n",
+        "dimension: 1\nn: 2\n1 0 0 1\nchild_hist:\nsolutions:\n",
+    ], ids=["empty", "no-sizes", "K=0", "n=0", "negative-no-block", "count=0-no-block",
+            "no-solutions-line", "count=0-one-block", "no-count", "no-dimension", "no-n",
+            "nan", "early-code", "short-hist-row", "row-before-hist"])
+    def test_header_edge_cases(self, text):
+        assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
 
 
 @pytest.fixture(scope="module")
@@ -552,7 +616,7 @@ class TestRecomputeCodes:
         walk = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3),
                          (1, 2), (2, 2)], dtype=float)
         inst = Instance(2, len(walk), {}, walk[:2].tolist())
-        normals = [hyperplane_through(walk[v - 2 : v]).normal for v in range(2, len(walk))]
+        normals = _anchor_planes(walk[np.arange(len(walk) - 2)[:, None] + np.arange(2)], None)[0]
         assert any(a @ b == 0.0 for a, b in zip(normals, normals[1:]))
         codes = recompute_codes(inst, walk[None])
         assert codes == recompute_codes_by_level(inst, walk[None])

@@ -282,12 +282,11 @@ class TestPartialReflection:
         # reflect the reflected tail back across the same anchors (they are
         # fixed by the reflection, so the plane is unchanged)
         K = result.instance.dimension
-        from dgbp.geometry import hyperplane_through, reflect
+        from dgbp.geometry import _anchor_planes, reflect_stack
 
-        plane = hyperplane_through(once[4 - 1 - K : 4 - 1])
+        plane = _anchor_planes(once[None, 4 - 1 - K : 4 - 1], None)[:3]
         twice = once.copy()
-        for row in range(3, len(once)):
-            twice[row] = reflect(plane, once[row])
+        twice[3:] = reflect_stack(*plane, once[None, 3:])[0]
         assert np.max(np.abs(twice - y)) <= 1e-9
 
     def test_valid_on_random_instances(self):
