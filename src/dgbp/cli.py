@@ -36,6 +36,7 @@ from .instance import (
 )
 from .solver import (
     SolverOptions,
+    _row_texts,
     brute_force,
     parse_result,
     recompute_codes,
@@ -250,18 +251,17 @@ def cmd_solve(args, command: str) -> int:
     manifest = RunManifest(command, inputs=(args.instance,), outputs=outputs)
     _write(out, manifest, serialize_result(result), started)
     if args.plot:
-        _write(args.plot, manifest, _plot_table(result.solutions, inst.n, inst.dimension),
-               started)
+        _write(args.plot, manifest, _plot_table(result.solutions), started)
     _say(f"{args.instance}: {result.solution_count} solutions -> {out}")
     if budget_hit:
         return EXIT_BUDGET
-    return EXIT_OK if result.solutions else EXIT_INFEASIBLE
+    return EXIT_OK if result.solution_count else EXIT_INFEASIBLE
 
 
 def cmd_analyze(args, command: str) -> int:
     started = time.perf_counter()
     result = parse_result(_read(args.result))
-    if not result.solutions:
+    if not result.solution_count:
         _say("nothing to analyze: result has no solutions")
         return EXIT_INVALID
     report = verify_orbit(result)
@@ -281,18 +281,16 @@ def cmd_analyze(args, command: str) -> int:
 def cmd_verify(args, command: str) -> int:
     inst = parse_instance(_read(args.instance))
     result = parse_result(_read(args.result))
+    _, n, K = result.solutions.shape
+    if (n, K) != (inst.n, inst.dimension):
+        _say(f"result is for n={n}, K={K}; instance has n={inst.n}, K={inst.dimension}")
+        return EXIT_VERIFY_FAILED
     failures = 0
-    # parse_result gives every solution the same shape.
-    if result.solutions and result.solutions[0].shape != (inst.n, inst.dimension):
-        for i in range(result.solution_count):
-            _say(f"solution {i}: shape mismatch with instance")
-        failures += result.solution_count
-    elif result.solutions:
-        stack = np.asarray(result.solutions)
-        for i, bad in enumerate(stacked_edge_violations(inst, stack, args.atol, args.rtol)):
-            for (u, v), res in bad:
-                _say(f"solution {i}: edge {{{u}, {v}}} off by {res:.3e}")
-            failures += len(bad)
+    bad_edges = stacked_edge_violations(inst, result.solutions, args.atol, args.rtol)
+    for i, bad in enumerate(bad_edges):
+        for (u, v), res in bad:
+            _say(f"solution {i}: edge {{{u}, {v}}} off by {res:.3e}")
+        failures += len(bad)
     if len(set(result.branch_codes)) != len(result.branch_codes):
         _say("duplicate branch codes in result")
         failures += 1
@@ -300,9 +298,7 @@ def cmd_verify(args, command: str) -> int:
         if inst.n - inst.dimension > 24:
             _say("oracle comparison beyond the exhaustive budget")
             return EXIT_BUDGET
-        oracle = np.reshape(brute_force(inst, args.atol, args.rtol),
-                            (-1, inst.n, inst.dimension))
-        oracle_codes = set(recompute_codes(inst, oracle))
+        oracle_codes = set(recompute_codes(inst, brute_force(inst, args.atol, args.rtol)))
         if oracle_codes != set(result.branch_codes):
             _say(f"oracle found {len(oracle_codes)} codes, result has "
                  f"{len(set(result.branch_codes))}")
@@ -314,21 +310,18 @@ def cmd_verify(args, command: str) -> int:
     return EXIT_OK
 
 
-def _plot_table(solutions, n: int, K: int) -> str:
+def _plot_table(stack: np.ndarray) -> str:
     """Tab-separated table with one row per (solution, vertex): indices, then coordinates.
 
-    One ``%`` template formats the whole stack, as ``solver._solution_lines``
-    does; the two index columns ride along as floats, which ``%d`` prints as
-    integers.
+    The coordinates come from ``solver._row_texts``, so a row repeated from
+    the solution before is formatted once, as in a result file.
     """
-    stack = np.asarray(solutions, dtype=float).reshape(-1, n, K)
-    table = np.empty(stack.shape[:2] + (K + 2,))
-    table[:, :, 0] = np.arange(len(stack))[:, None]
-    table[:, :, 1] = np.arange(1, n + 1)
-    table[:, :, 2:] = stack
+    S, n, K = stack.shape
     header = "solution\tvertex\t" + "\t".join(f"x{j + 1}" for j in range(K))
-    row = "\t".join(["%d", "%d"] + ["%.17g"] * K)
-    return "\n".join([header] + [row] * (len(stack) * n)) % tuple(table.ravel().tolist()) + "\n"
+    rows = (np.array([f"{s}\t" for s in range(S)], dtype=object)[:, None]
+            + np.array([f"{v}\t" for v in range(1, n + 1)], dtype=object)
+            + _row_texts(stack, "\t"))
+    return "\n".join([header, *rows.ravel().tolist()]) + "\n"
 
 
 class _FileError(Exception):

@@ -89,13 +89,16 @@ class SolveStats:
 class SolveResult:
     """Solutions in canonical (lexicographic-code) order plus search metadata.
 
-    ``branch_codes[i]`` is the n-bit tuple of side bits along the path to
-    ``solutions[i]``; its first K bits are always 0.  ``instance`` is the
-    solved instance, or None for a result read from a file.
+    ``solutions`` is one C-contiguous float (S, n, K) array, also when S = 0,
+    whichever function made the result.  ``branch_codes[i]`` is the n-bit
+    tuple of side bits along the path to ``solutions[i]``; its first K bits
+    are always 0.  The codes stay a list of tuples: callers hash them into
+    sets and bisect them.  ``instance`` is the solved instance, or None for
+    a result read from a file.
     """
 
     instance: Instance | None
-    solutions: list
+    solutions: np.ndarray
     branch_codes: list
     stats: SolveStats
 
@@ -140,11 +143,13 @@ class _Search:
             self.prune[v] = (np.array(back, dtype=int) - 1,
                              np.array([inst.edges[(u, v)] for u in back]))
         self.created = 0
-        self.solutions: list[np.ndarray] = []
+        # Leaf batches in code order; the empty one sizes a result with none.
+        self.leaves = [np.empty((0, self.n, K))]
         self.codes: list[tuple] = []
         self.stats = SolveStats()
 
-    def run(self) -> None:
+    def run(self) -> tuple:
+        """Search the whole tree: the leaves (S, n, K) and their codes, in code order."""
         K, n, stats = self.K, self.n, self.stats
         stats.nodes_feasible += K
         stats.nodes_infeasible += K
@@ -157,6 +162,7 @@ class _Search:
         while stack and self._within_budget():
             self._expand(stack, *stack.pop())
         stats.budget_exceeded = not self._within_budget()
+        return np.concatenate(self.leaves), self.codes
 
     def _within_budget(self) -> bool:
         return self.opts.max_nodes is None or self.created <= self.opts.max_nodes
@@ -164,7 +170,7 @@ class _Search:
     def _expand(self, stack, level, paths, codes, references) -> None:
         K, stats = self.K, self.stats
         if level == self.n:
-            self.solutions.extend(paths)
+            self.leaves.append(paths)
             self.codes.extend(map(tuple, codes.tolist()))
             return
         anchors = paths[:, level - K : level]
@@ -231,11 +237,8 @@ def _prefix_leaves(inst: Instance, m: int) -> tuple:
     when it was solved.
     """
     edges = {e: d for e, d in inst.edges.items() if e[1] <= m}
-    search = _Search(Instance(inst.dimension, m, edges, inst.initial_embedding),
-                     SolverOptions())
-    search.run()
-    points = np.asarray(search.solutions).reshape(-1, m, inst.dimension)
-    return points, search.codes
+    return _Search(Instance(inst.dimension, m, edges, inst.initial_embedding),
+                   SolverOptions()).run()
 
 
 def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
@@ -254,10 +257,10 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
         raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     started = time.perf_counter()
     search = _Search(inst, opts)
-    search.run()
+    solutions, codes = search.run()
     stats = search.stats
     stats.wall_time = time.perf_counter() - started
-    result = SolveResult(inst, search.solutions, search.codes, stats)
+    result = SolveResult(inst, solutions, codes, stats)
     alarm = WINDOW_RESIDUAL_ALARM * max(inst.edges.values(), default=0.0)
     if stats.max_window_residual > alarm:
         logger.warning("max window residual %.3e exceeds %.3e: numerical breakdown",
@@ -337,7 +340,7 @@ def recompute_code(inst: Instance, embedding) -> tuple:
     return recompute_codes(inst, np.asarray(embedding, dtype=float)[None])[0]
 
 
-def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
+def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.ndarray:
     """Independent enumeration oracle.
 
     Expands all 2**(n-K) side-bit sequences, level by level and in
@@ -348,7 +351,8 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
     edge of the instance.  Prefixes are expanded in depth-first chunks of at
     most BATCH_ROWS rows, one :func:`extend_stack` call per chunk and level.
     Shares only the geometric placement primitive with :func:`solve`.
-    Returns embeddings in the same canonical order.
+    Returns the embeddings as one (S, n, K) array, in the same canonical
+    order.
     """
     report = validate(inst)
     if not report.ok:
@@ -362,13 +366,13 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
     }
     paths = np.zeros((1, n, K))
     paths[0, :K] = inst.initial_points()
-    found = []
+    found = [np.empty((0, n, K))]
     stack = [(K, paths, None)]
     while stack:
         level, paths, references = stack.pop()
         if level == n:
             bad = stacked_edge_violations(inst, paths, atol, rtol)
-            found.extend(path for path, misses in zip(paths, bad) if not misses)
+            found.append(paths[[not misses for misses in bad]])
             continue
         ext = extend_stack(paths[:, level - K : level], radii[level + 1], references)
         rows, sides = np.nonzero(ext.placed)
@@ -378,30 +382,25 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> list:
         for start in reversed(range(0, len(rows), BATCH_ROWS)):
             chunk = slice(start, start + BATCH_ROWS)
             stack.append((level + 1, paths[chunk], normals[chunk]))
-    return found
+    return np.concatenate(found)
 
 
 def serialize_result(result: SolveResult) -> str:
     """Deterministic plain-text form of a solve result (no timing data)."""
     stats = result.stats
+    S, n, K = result.solutions.shape
     if stats.budget_exceeded:
         status = "budget-exceeded"
-    elif result.solutions:
+    elif S:
         status = "solved"
     else:
         status = "infeasible"
-    if result.instance is not None:
-        K, n = result.instance.dimension, result.instance.n
-    elif result.solutions:
-        K, n = len(result.solutions[0][0]), len(result.solutions[0])
-    else:
-        raise ValueError("cannot size a result with neither instance nor solutions")
     lines = [
         "format: dgp-result 1",
         f"status: {status}",
         f"dimension: {K}",
         f"n: {n}",
-        f"solution_count: {len(result.solutions)}",
+        f"solution_count: {S}",
         f"nodes_feasible: {stats.nodes_feasible}",
         f"nodes_infeasible: {stats.nodes_infeasible}",
         f"candidates_pruned: {stats.candidates_pruned}",
@@ -414,37 +413,37 @@ def serialize_result(result: SolveResult) -> str:
         c0, c1, c2 = stats.child_hist[lvl]
         lines.append(f"{lvl} {c0} {c1} {c2}")
     lines.append("solutions:")
-    lines += _solution_lines(result.branch_codes, result.solutions, n, K)
+    block = np.empty((S, n + 1), dtype=object)
+    block[:, 0] = ["code " + _code_text(code) for code in result.branch_codes]
+    block[:, 1:] = _row_texts(result.solutions, " ")
+    lines += block.ravel().tolist()
     return "\n".join(lines) + "\n"
 
 
-def _solution_lines(codes, solutions, n: int, K: int) -> list:
-    """The ``code`` line and the n coordinate lines of every solution, in order.
+def _row_texts(stack: np.ndarray, sep: str) -> np.ndarray:
+    """The text of every row of an (S, n, K) stack: K ``%.17g`` fields joined by ``sep``.
 
-    Solutions next to each other in code order are leaves of one search
-    tree, so they share every row placed above the level where their codes
-    first differ.  A row is formatted only where its bits differ from the
-    same row of the solution before (compared as uint64, so -0.0 and 0.0,
-    or two NaN payloads, count as different); the other rows reuse that
-    string.  The cost is one ``%.17g`` per distinct tree node, not per
-    solution row.
+    Returns an (S, n) array of strings.  Solutions next to each other in
+    code order are leaves of one search tree, so they share every row placed
+    above the level where their codes first differ.  A row is formatted only
+    where its bits differ from the same row of the solution before (compared
+    as uint64, so -0.0 and 0.0, or two NaN payloads, count as different);
+    the other rows reuse that string.  The cost is one ``%.17g`` per
+    distinct tree node, not per solution row.
     """
-    stack = np.asarray(solutions, dtype=float).reshape(-1, n, K)
+    S, n, K = stack.shape
     bits = stack.view(np.uint64)
-    fresh = np.ones(stack.shape[:2], dtype=bool)
+    fresh = np.ones((S, n), dtype=bool)
     fresh[1:] = (bits[1:] != bits[:-1]).any(-1)
     values = stack[fresh].ravel().tolist()
-    template = "\n".join([" ".join(["%.17g"] * K)] * (len(values) // K))
+    template = "\n".join([sep.join(["%.17g"] * K)] * (len(values) // K))
     texts = np.array((template % tuple(values)).split("\n"), dtype=object)
     # Fresh rows are numbered in row-major order, so the string of row
     # (s, j) is the one of the last solution up to s that changed row j:
     # a running max down each column.
     source = np.where(fresh, np.cumsum(fresh).reshape(fresh.shape) - 1, 0)
     np.maximum.accumulate(source, axis=0, out=source)
-    block = np.empty((len(stack), n + 1), dtype=object)
-    block[:, 0] = ["code " + _code_text(code) for code in codes]
-    block[:, 1:] = texts[source]
-    return block.ravel().tolist()
+    return texts[source]
 
 
 #: ``bytes(code).translate`` turns the 0/1 bits of a branch code into digits.
@@ -472,7 +471,7 @@ def parse_result(text: str) -> SolveResult:
     K, n, count, stats, start = _read_header(lines)
     stack, codes = (_read_solutions(lines[start:], K, n, count)
                     or _read_solution_lines(lines, start, K, n, count))
-    return SolveResult(None, list(stack), codes, stats)
+    return SolveResult(None, stack, codes, stats)
 
 
 #: The typed header fields; the first three size the solution block.
@@ -491,6 +490,7 @@ def _read_header(lines: list) -> tuple:
     SolveStats, and the index of the line after ``solutions:`` (``len(lines)``
     when there is none).  Blank and comment lines are skipped; a ``:`` line
     is a field and, after ``child_hist:``, any other line a histogram row.
+    A ``dimension`` or ``n`` below 1 is an error, so every result has a shape.
     """
     stats = SolveStats()
     sizes = dict.fromkeys(("dimension", "n", "solution_count"))
@@ -526,6 +526,8 @@ def _read_header(lines: list) -> tuple:
                 value = _FIELD_TYPES[key](rest)
             except ValueError:
                 raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
+            if key in ("dimension", "n") and value < 1:
+                raise ParseError(f"{key} must be >= 1, got {value}", lineno)
             if key in sizes:
                 sizes[key] = value
             else:
@@ -583,7 +585,7 @@ def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
     if nonfinite is not None:
         raise ParseError("non-finite coordinate", nonfinite)
     # Every check passed, so there are count * n rows of K values each.
-    return (np.reshape(rows, (count, n, K)) if count else []), codes
+    return np.reshape(rows, (count, n, K)), codes
 
 
 def _read_solutions(body: list, K, n, count):
@@ -592,7 +594,7 @@ def _read_solutions(body: list, K, n, count):
     Once blank and comment lines are dropped, the body must hold ``count`` blocks of
     one ``code`` line and n coordinate lines, so the code lines are taken by
     stride n + 1.  Their bits are checked in one buffer.  Solutions share
-    most rows (see ``_solution_lines``), so each distinct coordinate line is
+    most rows (see ``_row_texts``), so each distinct coordinate line is
     read once and the rows are gathered by index.  The distinct lines are
     joined with a ``;`` token after each line and split once.  Every line
     holds K tokens iff every (K+1)-th token is a ``;``, that is iff no ``;``
@@ -601,7 +603,7 @@ def _read_solutions(body: list, K, n, count):
     ``_read_solution_lines``.  Returns None, and leaves naming the error to
     ``_read_solution_lines``, when any check fails.
     """
-    if K is None or n is None or count is None or K < 1 or n < 1:
+    if K is None or n is None or count is None:
         return None
     kept = [line for line in map(str.strip, body) if line and line[0] != "#"]
     if len(kept) != count * (n + 1):

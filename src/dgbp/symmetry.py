@@ -81,7 +81,7 @@ def branches_both_ways(result, index: int, vertex: int) -> bool:
     bit.  ``branch_codes`` is in lexicographic order, so two bisections
     answer that.  K and n are the solution's shape.
     """
-    n, K = np.shape(result.solutions[index])
+    n, K = result.solutions.shape[1:]
     if not K + 1 <= vertex <= n:
         raise ValueError(f"vertex must be in {K + 1}..{n}, got {vertex}")
     codes = result.branch_codes
@@ -107,7 +107,7 @@ def partial_reflection(result, index: int, vertex: int) -> np.ndarray:
     if not branches_both_ways(result, index, vertex):
         raise NoSiblingBranch(
             f"solution {index} does not branch both ways at vertex {vertex}")
-    return _mirror_tails(np.asarray(result.solutions[index], dtype=float)[None], vertex)[0]
+    return _mirror_tails(result.solutions[index : index + 1], vertex)[0]
 
 
 def _mirror_tails(stack: np.ndarray, vertex: int) -> np.ndarray:
@@ -195,8 +195,7 @@ def verify_orbit(result) -> SymmetryReport:
 
     checks: list[ReflectionCheck] = []
     if result.instance is not None:
-        checks = _reflection_checks(np.asarray(result.solutions, dtype=float), codes,
-                                    sorted(levels))
+        checks = _reflection_checks(result.solutions, codes, sorted(levels))
 
     return SymmetryReport(
         n=n,

@@ -101,6 +101,8 @@ class _LineReader:
                 value = float(rest) if key == "max_window_residual" else int(rest)
             except ValueError:
                 raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
+            if key in ("dimension", "n") and value < 1:
+                raise ParseError(f"{key} must be >= 1, got {value}", lineno)
             if key == "dimension":
                 self.K = value
             elif key == "n":
@@ -121,12 +123,13 @@ class _LineReader:
         for rows in solutions:
             if len(rows) != n:
                 raise ParseError(f"solution has {len(rows)} rows, expected {n}")
-        stack = np.asarray(solutions, dtype=float)  # (S, n, K): every shape was checked
-        if solutions and not np.isfinite(stack).all():
+        # (S, n, K): every shape was checked
+        stack = np.asarray(solutions, dtype=float).reshape(count, n, K)
+        if not np.isfinite(stack).all():
             index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
             raise ParseError("non-finite coordinate",
                              _row_line(text, self.code_lines[index], row))
-        return SolveResult(None, list(stack), self.codes, self.stats)
+        return SolveResult(None, stack, self.codes, self.stats)
 
 
 def _row_line(text: str, code_line: int, row: int) -> int:

@@ -135,13 +135,13 @@ def test_stacked_code_recomputation(batch_results):
     rows = 0
     for K in (1, 2, 3, 4):
         inst = counterexample(K)
-        stack = np.asarray(brute_force(inst))
+        stack = brute_force(inst)
         want = recompute_codes_by_level(inst, stack)
         assert recompute_codes(inst, stack) == want
         assert [recompute_code(inst, emb) for emb in stack] == want  # batch of one
         rows += len(stack)
     for inst, result in batch_results:
-        stack = np.asarray(result.solutions)
+        stack = result.solutions
         assert recompute_codes(inst, stack) == recompute_codes_by_level(inst, stack)
         rows += len(stack)
     print(f"stacked code recomputation matches the per-level planes on {rows} embeddings")

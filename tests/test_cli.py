@@ -207,25 +207,46 @@ class TestVerify:
         assert [line.split(" off by ")[0] for line in failures[:-1]] == [
             "solution 0: edge {1, 2}", "solution 0: edge {1, 3}"]
 
+    def test_bad_header_sizes_exit_3(self, tmp_path, capsys):
+        res = tmp_path / "res.txt"
+        res.write_text("format: dgp-result 1\ndimension: -1\nn: -7\nsolution_count: 0\n"
+                       "solutions:\n")
+        assert main(["verify", str(fixture_path("random_03")), str(res)]) == 3
+        assert capsys.readouterr().err == (
+            "parse error: line 2: dimension must be >= 1, got -1\n")
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_empty_result_of_other_shape_exit_6(self, tmp_path, capsys, oracle):
+        # random_03 has K=2, n=8: a result with no solutions is still sized
+        res = tmp_path / "res.txt"
+        res.write_text("format: dgp-result 1\ndimension: 2\nn: 5\nsolution_count: 0\n"
+                       "solutions:\n")
+        assert main(["verify", str(fixture_path("random_03")), str(res), *oracle]) == 6
+        assert capsys.readouterr().err == (
+            "result is for n=5, K=2; instance has n=8, K=2\n")
+
 
 class TestPlotTable:
     """The bulk ``--plot`` table against the per-coordinate reference."""
 
     @pytest.mark.parametrize("K, n", [(1, 6), (2, 9), (3, 9), (4, 10)])
     def test_matches_row_writer(self, K, n):
-        solutions = solve(random_instance(K, n, 0.1, K)[0]).solutions
-        assert solutions
-        assert _plot_table(solutions, n, K) == plot_table_by_row(solutions, K)
+        stack = solve(random_instance(K, n, 0.1, K)[0]).solutions
+        assert len(stack)
+        assert _plot_table(stack) == plot_table_by_row(stack, K)
 
     def test_full_tree(self):
-        solutions = solve(random_instance(2, 16, 0.0, 1)[0]).solutions
-        assert len(solutions) == 2 ** 14
-        assert _plot_table(solutions, 16, 2) == plot_table_by_row(solutions, 2)
+        stack = solve(random_instance(2, 16, 0.0, 1)[0]).solutions
+        assert stack.shape == (2 ** 14, 16, 2)
+        assert _plot_table(stack) == plot_table_by_row(stack, 2)
 
     def test_no_solutions_and_special_values(self):
-        assert _plot_table([], 5, 3) == plot_table_by_row([], 3)
-        odd = [np.array([[-0.0, np.nan], [np.inf, 1e-300], [-5e-324, 2.0 ** 60]])]
-        assert _plot_table(odd, 3, 2) == plot_table_by_row(odd, 2)
+        empty = np.empty((0, 5, 3))
+        assert _plot_table(empty) == plot_table_by_row(empty, 3)
+        # rows equal to the row above except in their bits are formatted anew
+        row = [[-0.0, np.nan], [np.inf, 1e-300], [-5e-324, 2.0 ** 60]]
+        odd = np.array([row, np.negative(row), row, row])
+        assert _plot_table(odd) == plot_table_by_row(odd, 2)
 
 
 def first_solution(edit):

@@ -16,7 +16,9 @@ from dgbp.solver import (
     SolveResult,
     SolveStats,
     SolverOptions,
+    _prefix_leaves,
     _read_header,
+    _read_solution_lines,
     _read_solutions,
     brute_force,
     parse_result,
@@ -191,7 +193,7 @@ class TestBruteForceOracle:
 
     def test_recompute_codes_checks_shape(self, chain_k2_n5):
         result = solve(chain_k2_n5)
-        stack = np.asarray(result.solutions)
+        stack = result.solutions
         assert recompute_codes(chain_k2_n5, stack) == result.branch_codes
         for bad in (stack[:, :-1], stack[..., :1], stack[0]):
             with pytest.raises(DimensionMismatch):
@@ -206,7 +208,7 @@ class TestBruteForceOracle:
         broken = Instance(inst.dimension, inst.n, edges, inst.initial_embedding)
         result = solve(broken)
         assert result.solution_count == 0
-        assert brute_force(broken) == []
+        assert brute_force(broken).shape == (0, inst.n, inst.dimension)
 
 
 class TestBranchCode:
@@ -215,6 +217,49 @@ class TestBranchCode:
         K = corpus["random_06"].dimension
         for code in result.branch_codes:
             assert code[:K] == (0,) * K
+
+
+class TestSolutionShape:
+    """Every producer hands over one C-contiguous float (S, n, K) array."""
+
+    @staticmethod
+    def check(stack, n, K, S=None):
+        assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
+        assert stack.flags.c_contiguous and stack.shape[1:] == (n, K)
+        assert S is None or len(stack) == S
+
+    def test_solve_and_brute_force(self, corpus):
+        for inst in corpus.values():
+            result = solve(inst)
+            self.check(result.solutions, inst.n, inst.dimension, len(result.branch_codes))
+            self.check(brute_force(inst), inst.n, inst.dimension, result.solution_count)
+
+    def test_infeasible(self, corpus):
+        inst = corpus["random_03"]
+        pruning = next((u, v) for (u, v) in sorted(inst.edges) if v - u > inst.dimension)
+        edges = {**inst.edges, pruning: inst.edges[pruning] + 1.0}
+        broken = Instance(inst.dimension, inst.n, edges, inst.initial_embedding)
+        for stack in (solve(broken).solutions, brute_force(broken)):
+            self.check(stack, inst.n, inst.dimension, 0)
+
+    def test_parse_result(self, corpus):
+        inst = corpus["random_03"]
+        empty = SolveResult(None, np.empty((0, 8, 2)), [], SolveStats())
+        for result in (solve(inst), solve(corpus["chain_k2_n5"]), empty):
+            S, n, K = result.solutions.shape
+            text = serialize_result(result)
+            for parse in (parse_result, parse_result_by_line):
+                self.check(parse(text).solutions, n, K, S)
+            # the line loop the bulk read falls back to sizes its stack too
+            lines = text.splitlines()
+            *sizes, _, start = _read_header(lines)
+            self.check(_read_solution_lines(lines, start, *sizes)[0], n, K, S)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_prefix_leaves(self, corpus, m):
+        inst = corpus["random_03"]
+        points, codes = _prefix_leaves(inst, m)
+        self.check(points, m, inst.dimension, len(codes))
 
 
 class TestResultSerialization:
@@ -228,8 +273,7 @@ class TestResultSerialization:
             assert loaded.stats == replace(result.stats, wall_time=0.0), name
             # 17 digits round-trip exactly
             assert len(loaded.solutions) == result.solution_count, name
-            assert (np.asarray(loaded.solutions).tobytes()
-                    == np.asarray(result.solutions).tobytes()), name
+            assert loaded.solutions.tobytes() == result.solutions.tobytes(), name
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "x1"])
     @pytest.mark.parametrize("padding", [[], ["# note", ""]], ids=["plain", "padded"])
@@ -283,8 +327,8 @@ def hand_results(draw):
     pool = [base] + [[draw(st.one_of(st.just(b), value)) for b in base]
                      for _ in range(draw(st.integers(0, 3)))]
     count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 24)))
-    solutions = [np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-                 for _ in range(count)]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=count * n, max_size=count * n))
+    solutions = np.array(rows, dtype=float).reshape(count, n, K)
     codes = [tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
              for _ in range(count)]
     stats = SolveStats(
@@ -302,18 +346,17 @@ class TestWriter:
     @given(result=hand_results())
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_matches_per_solution_writer(self, result):
-        if result.instance is None and not result.solutions:
-            for write in (serialize_result, serialize_result_by_solution):
-                with pytest.raises(ValueError):
-                    write(result)
-        else:
-            assert serialize_result(result) == serialize_result_by_solution(result)
+        text = serialize_result(result)
+        assert text == serialize_result_by_solution(result)
+        # a result sizes itself, with or without solutions or an instance
+        S, n, K = result.solutions.shape
+        assert f"\ndimension: {K}\nn: {n}\nsolution_count: {S}\n" in text
 
     @pytest.mark.parametrize("first, second", [
         (0.0, -0.0), (-0.0, 0.0), (math.nan, SPECIAL_VALUES[-1]), (math.inf, 1e308)])
     def test_rows_that_differ_only_in_bits(self, first, second):
         # the row of the second solution is formatted from its own bits
-        solutions = [np.array([[1.0, first]]), np.array([[1.0, second]])]
+        solutions = np.array([[[1.0, first]], [[1.0, second]]])
         result = SolveResult(None, solutions, [(0,), (1,)], SolveStats())
         text = serialize_result(result)
         assert text == serialize_result_by_solution(result)
@@ -326,7 +369,7 @@ class TestWriter:
         with pytest.raises(NodeBudgetExceeded) as err:
             solve(full_tree, SolverOptions(max_nodes=1500))
         partial = err.value.result
-        assert partial.solutions and partial.stats.budget_exceeded
+        assert partial.solution_count and partial.stats.budget_exceeded
         assert serialize_result(partial) == serialize_result_by_solution(partial)
 
     def test_solved_results(self, corpus):
@@ -348,8 +391,8 @@ def outcome(parse, text):
         result = parse(text)
     except ParseError as exc:
         return "error", str(exc), exc.line
-    stack = np.asarray(result.solutions)
-    return "ok", stack.shape, stack.tobytes(), result.branch_codes, result.stats
+    stack = result.solutions
+    return "ok", stack.shape, stack.dtype, stack.tobytes(), result.branch_codes, result.stats
 
 
 LAYOUTS = ("blank", "comment", "tabs", "double-spaces", "trailing", "code-spaces",
@@ -515,6 +558,21 @@ class TestBulkRead:
             "nan", "early-code", "short-hist-row", "row-before-hist"])
     def test_header_edge_cases(self, text):
         assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("dimension: 0\nn: 3\nsolution_count: 0\nsolutions:\n", 1,
+         "dimension must be >= 1, got 0"),
+        ("dimension: 2\nn: 0\nsolution_count: 0\nsolutions:\n", 2, "n must be >= 1, got 0"),
+        ("dimension: -1\nn: -7\nsolution_count: 0\n", 1, "dimension must be >= 1, got -1"),
+        ("dimension: 2\n\nn: -7\nsolution_count: 0\n", 3, "n must be >= 1, got -7"),
+    ], ids=["K=0", "n=0", "negative", "negative-n"])
+    def test_sizes_below_one_rejected(self, text, line, message):
+        # the K=0, n=0 and negative cases above: an empty result still has
+        # a shape, so both sizes must be >= 1
+        for parse in (parse_result, parse_result_by_line):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
 
 
 @pytest.fixture(scope="module")

@@ -261,8 +261,8 @@ class TestVerifyOrbit:
 
 def _bare_result(codes):
     """A solve result holding only codes (no instance)."""
-    solutions = [np.zeros((len(codes[0]), 1)) for _ in codes]
-    return SolveResult(None, solutions, list(codes), SolveStats())
+    return SolveResult(None, np.zeros((len(codes), len(codes[0]), 1)), list(codes),
+                       SolveStats())
 
 
 class TestPartialReflection:

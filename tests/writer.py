@@ -13,16 +13,11 @@ def serialize_result_by_solution(result) -> str:
     stats = result.stats
     if stats.budget_exceeded:
         status = "budget-exceeded"
-    elif result.solutions:
+    elif result.solution_count:
         status = "solved"
     else:
         status = "infeasible"
-    if result.instance is not None:
-        K, n = result.instance.dimension, result.instance.n
-    elif result.solutions:
-        K, n = len(result.solutions[0][0]), len(result.solutions[0])
-    else:
-        raise ValueError("cannot size a result with neither instance nor solutions")
+    n, K = result.solutions.shape[1:]
     lines = [
         "format: dgp-result 1",
         f"status: {status}",
