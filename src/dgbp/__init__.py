@@ -28,6 +28,7 @@ from .geometry import (
     ExtensionStack,
     cayley_menger_volume,
     extend_stack,
+    level_table,
     reflect_stack,
 )
 from .instance import (

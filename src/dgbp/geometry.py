@@ -4,10 +4,11 @@ A point is a length-K numpy vector; a set of anchors is a (K, K) array with
 one point per row, ordered by vertex rank.  These are the building blocks of
 the vertex-placement step: the simplex-volume test that guards against
 degenerate anchors, the hyperplane through K anchor points, the mirror image
-across it, and the two-point intersection of the K spheres centred at the
-anchors.  All of them work on stacks of F anchor sets at once
-(:func:`_anchor_planes`, :func:`reflect_stack`, :func:`extend_stack`), and
-each row comes out bit for bit as a stack of one would give it.
+across it, and the placement of a vertex against its K anchors, whose
+coefficients come from the distances alone (:func:`level_table`).  The
+primitives work on stacks of F anchor sets at once (:func:`_anchor_planes`,
+:func:`reflect_stack`, :func:`extend_stack`), and each row comes out bit for
+bit as a stack of one would give it.
 
 All functions are pure and never mutate their arguments.
 """
@@ -30,9 +31,9 @@ EPS_NORMAL = 1e-12
 #: against a length L iff V**2 <= EPS_FLAT * L**(2*dim) (see _flat).
 EPS_FLAT = 1e-13
 
-#: Tangency band: a raw discriminant within +/- DISC_CLAMP * (max radius)**2
-#: is treated as zero.
-DISC_CLAMP = 1e-12
+#: Tangency band: a squared height h**2 within +/- EPS_TANGENT * (max radius)**2
+#: is treated as zero (see level_table).
+EPS_TANGENT = 1e-12
 
 
 def _flat(squared_volume, squared_length, dim: int):
@@ -82,20 +83,11 @@ def cayley_menger_volume(sq_dists, dim: int) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _cofactor_layout(K: int) -> tuple:
-    """Column tables for a K-column elimination, indexed by the deleted column.
-
-    ``kept[j]`` lists every column of a (K-1, K) matrix but j and ``signs[j]``
-    is (-1)**j; ``slots[j]`` puts values listed as the kept columns and then
-    column j back into column order.
-    """
-    cols = np.arange(K)
-    kept = np.arange(K - 1)
-    kept = kept + (kept >= cols[:, None])
-    signs = (-1.0) ** cols
-    slots = np.argsort(np.column_stack([kept, cols]), axis=1)
-    for table in (kept, signs, slots):
-        table.flags.writeable = False
-    return kept, signs, slots
+    """``kept[j]`` lists every column of a (K-1, K) matrix but j; ``signs[j]`` is (-1)**j."""
+    kept = np.arange(K - 1) + (np.arange(K - 1) >= np.arange(K)[:, None])
+    signs = (-1.0) ** np.arange(K)
+    kept.flags.writeable = signs.flags.writeable = False
+    return kept, signs
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,10 +121,10 @@ def _anchor_planes(X: np.ndarray, references) -> tuple:
     """
     F, K = X.shape[0], X.shape[2]
     diffs = X[:, :-1] - X[:, -1:]
-    kept, signs, _ = _cofactor_layout(K)
+    kept, signs = _cofactor_layout(K)
     # C order keeps the normals' rows contiguous for row_dots.
     minors = signs * np.linalg.det(np.ascontiguousarray(diffs[:, :, kept].transpose(0, 2, 1, 3)))
-    lengths = np.array([math.hypot(*row) for row in minors.tolist()])
+    lengths = np.sqrt(row_dots(minors, minors))
     reach = (diffs * diffs).sum(-1).max(-1, initial=0.0)
     if _flat((lengths / math.factorial(K - 1)) ** 2, reach, K - 1).any():
         raise DegenerateSpan("anchor points do not span a hyperplane")
@@ -173,20 +165,52 @@ def reflect_stack(normals, offsets, pivots, points) -> np.ndarray:
 _EMPTY, _TANGENT, _PAIR = range(3)
 
 
+def _gram(sq_dists) -> np.ndarray:
+    """Gram matrices (L, K-1, K-1) of the ``w_i - w_K`` of L simplexes w_1..w_K.
+
+    From their squared distances (L, K, K), by the law of cosines; the
+    determinant is ((K-1)! V)**2 for the simplex volume V.
+    """
+    last = sq_dists[:, :-1, -1]
+    return (last[:, :, None] + last[:, None, :] - sq_dists[:, :-1, :-1]) / 2.0
+
+
+def level_table(sq_dists) -> tuple:
+    """Where each of L vertices sits relative to its anchors w_1..w_K, from distances.
+
+    ``sq_dists`` (L, K+1, K+1) are the squared distances among each level's
+    anchors and its vertex (last), r_i from w_i to the vertex.  With G from
+    :func:`_gram` and ``c_i = (r_K**2 + |w_i - w_K|**2 - r_i**2) / 2``, the
+    vertex is ``w_K + sum_i mu_i (w_i - w_K) +/- h n``, n the anchor plane's
+    unit normal, for ``mu = G^-1 c`` and ``h**2 = r_K**2 - mu^T G mu``.
+    Returns ``(mu, h2)``, (L, K-1) and (L,); ``h2`` is 0.0 within +/-
+    EPS_TANGENT times the largest r_i**2 (tangent) and empty below that.
+    """
+    sq = np.asarray(sq_dists, dtype=float)
+    K = sq.shape[1] - 1
+    gram = _gram(sq[:, :-1, :-1])
+    reach = sq[:, K - 1, K]
+    c = (reach[:, None] + sq[:, : K - 1, K - 1] - sq[:, : K - 1, K]) / 2.0
+    mu = np.linalg.solve(gram, c[..., None])[..., 0]
+    h2 = reach - row_dots(mu, np.matmul(gram, mu[..., None])[..., 0])
+    band = EPS_TANGENT * sq[:, :K, K].max(1, initial=0.0)
+    return mu, np.where(np.abs(h2) <= band, 0.0, h2)
+
+
 @dataclass(frozen=True)
 class ExtensionStack:
-    """Sphere intersections of F anchor sets, one row each.
+    """The placements of one level's vertex over F anchor sets, one row each.
 
-    ``kind[f]`` is the number of distinct intersection points: 0 (empty), 1
-    (tangent) or 2 (pair).  ``points[f, s]`` is the placement with side bit
-    ``s`` and ``placed[f, s]`` says whether there is one: both sides of a
-    pair, the one side of the plane a tangent point falls on (it fills both
-    slots), neither side when empty (those points are NaN).  ``normals``,
-    ``offsets`` and ``pivots`` are the oriented anchor planes, as
-    :func:`_anchor_planes` gives them.
+    ``kind`` is the level's number of distinct placements, the same for
+    every row: 0 (empty), 1 (tangent) or 2 (pair).  ``points[f, s]`` is
+    the placement with side bit ``s`` and ``placed[f, s]`` says whether
+    there is one: both sides of a pair, the one side of the plane a tangent
+    point falls on (it fills both slots), neither side when empty (those
+    points are NaN).  ``normals``, ``offsets`` and ``pivots`` are the
+    oriented anchor planes, as :func:`_anchor_planes` gives them.
     """
 
-    kind: np.ndarray
+    kind: int
     points: np.ndarray
     placed: np.ndarray
     normals: np.ndarray
@@ -194,74 +218,36 @@ class ExtensionStack:
     pivots: np.ndarray
 
 
-def extend_stack(anchors, radii, references=None) -> ExtensionStack:
-    """Intersect the K spheres ``|z - anchors[f, u]| = radii[u]`` for every f.
+def extend_stack(anchors, mu, h2, references=None) -> ExtensionStack:
+    """Place one level's vertex against every anchor set ``anchors[f]`` (F, K, K).
 
-    ``anchors`` is (F, K, K), ``radii`` (K,) and shared by all rows,
-    ``references`` (F, K) or None.  This is the one placement primitive of
-    the package, and each row comes out bit for bit as a stack of that row
-    alone would give it.  The signed maximal minors of the anchor
-    differences give both the oriented anchor hyperplane (see
-    :func:`_anchor_planes`, whose ``references`` rule applies) and the
-    elimination pivot: subtracting the squared sphere equation of the last
-    anchor (the highest ranked one) from the others leaves K-1 linear
-    equations, which are solved for every coordinate but the one with the
-    largest minor, reducing the system to one quadratic in that coordinate.
-    Its discriminant decides between zero, one (tangent) and two
-    intersection points.  The two points of a PAIR come in side order: the
-    one with the smaller signed offset from the plane first, the first root
-    on a tie.  Raises DegenerateSpan if any row's anchors are degenerate.
+    ``mu`` (K-1,) and ``h2`` are the level's row of :func:`level_table`,
+    shared by all rows, whose anchors realise the same distances.  This is
+    the one placement primitive, and each row comes out bit for bit as a
+    stack of that row alone would give it.  The foot is
+    ``a_K + sum_i mu_i (a_i - a_K)`` (a_1 when K = 1); with n the unit
+    normal of :func:`_anchor_planes`, oriented by ``references`` (F, K) or
+    None, side 0 is ``foot - sqrt(h2) n`` and side 1 ``foot + sqrt(h2) n``.
+    ``h2`` < 0 is empty, and ``h2`` == 0 the foot on the side of the plane
+    it falls on.  Raises DegenerateSpan if any row's anchors are degenerate.
     """
     X = np.asarray(anchors, dtype=float)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise DimensionMismatch(f"expected K anchors in R^K, got array of shape {X.shape}")
-    r = np.asarray(radii, dtype=float)
-    F, K = X.shape[0], X.shape[2]
-    if r.shape != (K,):
-        raise DimensionMismatch(f"expected {K} radii, got array of shape {r.shape}")
-    if (r <= 0.0).any():
-        raise ValueError("radii must be positive")
-    normals, offsets, pivots, minors = _anchor_planes(X, references)
-
-    rows = np.arange(F)
-    w = X[:, -1]
-    rw = float(r[-1])
-    A = 2.0 * (X[:, :-1] - w[:, None])
-    b = np.sum(X[:, :-1] ** 2, axis=2) - row_dots(w, w)[:, None] - r[:-1] ** 2 + rw**2
-    # The largest minor is at least |minors|/sqrt(K), which the flatness test
-    # in _anchor_planes keeps away from zero, so this block is regular.
-    free = np.abs(minors).argmax(1)
-    kept, _, slots = _cofactor_layout(K)
-    # x[:, ..., kept][rows, ..., free] keeps, in row f, every column but free[f].
-    solved = np.linalg.solve(A[:, :, kept][rows, :, free],
-                             np.stack([b, A[rows, :, free]], axis=-1))
-    part = solved[..., 0]
-    slope = solved[..., 1]
-    diff = part - w[:, kept][rows, free]
-    wf = w[rows, free]
-    qa = row_dots(slope, slope) + 1.0
-    qb = -2.0 * (row_dots(slope, diff) + wf)
-    # Python's float power, not numpy's square: they differ in the last bit.
-    qc = row_dots(diff, diff) + np.array([x**2 for x in wf.tolist()]) - rw**2
-
-    disc = qb * qb - 4.0 * qa * qc
-    eps_disc = DISC_CLAMP * float(np.max(r)) ** 2
-    kind = np.where(disc < -eps_disc, _EMPTY, np.where(disc <= eps_disc, _TANGENT, _PAIR))
-    pair = kind == _PAIR
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(disc)
-        # Stable quadratic formula: avoid cancellation between -qb and the root.
-        shifted = np.where(qb != 0.0, -0.5 * (qb + np.copysign(root, qb)), -0.5 * root)
-        z0 = np.where(pair, shifted / qa, -qb / (2.0 * qa))
-        zf = np.stack([z0, np.where(pair, qc / shifted, z0)], axis=1)
-    zf[kind == _EMPTY] = np.nan
-    coords = np.concatenate([part[:, None, :] - slope[:, None, :] * zf[:, :, None],
-                             zf[:, :, None]], axis=2)
-    points = np.ascontiguousarray(coords[:, :, slots][rows, :, free])  # see row_dots
-    along = row_dots(normals[:, None, :], points)
-    swap = pair & (along[:, 0] > along[:, 1])
-    points[swap] = points[swap, ::-1]
-    upper = along[:, 0] - offsets > 0.0
-    placed = np.stack([pair | ((kind == _TANGENT) & ~upper),
-                       pair | ((kind == _TANGENT) & upper)], axis=1)
+    K = X.shape[2]
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (K - 1,):
+        raise DimensionMismatch(f"expected {K - 1} foot weights, got array of shape {mu.shape}")
+    h2 = float(h2)
+    normals, offsets, pivots, _ = _anchor_planes(X, references)
+    kind = _EMPTY if h2 < 0.0 else _TANGENT if h2 == 0.0 else _PAIR
+    foot = X[:, -1].copy()
+    for i, weight in enumerate(mu.tolist()):
+        foot += weight * (X[:, i] - X[:, -1])
+    h = math.nan if kind == _EMPTY else math.sqrt(h2)
+    points = np.stack([foot - h * normals, foot + h * normals], axis=1)
+    placed = np.full(points.shape[:2], kind == _PAIR)
+    if kind == _TANGENT:
+        upper = row_dots(normals, foot) - offsets > 0.0
+        placed[:, 0], placed[:, 1] = ~upper, upper
     return ExtensionStack(kind, points, placed, normals, offsets, pivots)

@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GenericityFailure, NegativeDeterminant, ParseError
-from .geometry import _flat, cayley_menger_volume, row_dots
+from .errors import GenericityFailure, ParseError
+from .geometry import _flat, _gram, level_table, row_dots
 
 #: Windows whose simplex volume falls below this are rejected when sampling
 #: random instances, turning "generic position" into a constructive bound.
@@ -88,6 +88,16 @@ class Instance:
         d = np.array([self.edges[e] for e in edges])
         ends.flags.writeable = d.flags.writeable = False
         return edges, ends, d
+
+    @functools.cached_property
+    def _levels(self) -> tuple:
+        """The level table ``(radii, mu, h2)``: row v-K-1 places vertex v.
+
+        Window distances (n-K, K) and :func:`geometry.level_table` of all
+        levels.  Built on first use, which must follow :func:`validate`.
+        """
+        D = _clique_distances(self, range(self.dimension + 1, self.n + 1))
+        return (D[:, :-1, -1], *level_table(D * D))
 
     def initial_points(self) -> np.ndarray:
         return np.asarray(self.initial_embedding, dtype=float)
@@ -180,38 +190,33 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
                         ViolationCode.INVALID_INITIAL_EMBEDDING, v,
                         f"edge {{{u}, {v}}}: embedded distance off by {res:.3e}"))
 
+    start = len(out)
+    complete = []
     for v in range(K + 1, n + 1):
         degree = len(inst.predecessors(v))
         if degree < K:
             out.append(Violation(ViolationCode.TOO_FEW_PREDECESSORS, v,
                                  f"vertex {v} has {degree} adjacent predecessors, needs {K}"))
-        window = list(inst.window(v))
-        clique_ok = True
-        for u in window:
-            if not inst.has_edge(u, v):
-                clique_ok = False
-                out.append(Violation(ViolationCode.MISSING_WINDOW_EDGE, v,
-                                     f"missing window edge {{{u}, {v}}}"))
-        for a in range(len(window)):
-            for b in range(a + 1, len(window)):
-                if not inst.has_edge(window[a], window[b]):
-                    clique_ok = False
-                    out.append(Violation(ViolationCode.MISSING_WINDOW_EDGE, v,
-                                         f"missing window edge {{{window[a]}, {window[b]}}} "
-                                         f"(anchors of {v})"))
-        clique = window + [v]
-        dists = itertools.starmap(inst.distance, itertools.combinations(clique, 2))
-        # A clique holding a distance reported above has no simplex to test.
-        if clique_ok and all(math.isfinite(d) and d > 0.0 for d in dists):
-            sq = np.array([[inst.distance(a, b) ** 2 if a != b else 0.0 for b in clique]
-                           for a in clique])
-            try:
-                vol = cayley_menger_volume(sq[:-1, :-1], K - 1)
-            except NegativeDeterminant:
-                vol = 0.0
-            if _flat(vol * vol, float(sq.max()), K - 1):
-                out.append(Violation(ViolationCode.DEGENERATE_SIMPLEX, v,
-                                     f"window {window} has degenerate distance simplex"))
+        missing = [f"{{{u}, {v}}}" for u in inst.window(v) if not inst.has_edge(u, v)]
+        missing += [f"{{{a}, {b}}} (anchors of {v})"
+                    for a, b in itertools.combinations(inst.window(v), 2)
+                    if not inst.has_edge(a, b)]
+        out += [Violation(ViolationCode.MISSING_WINDOW_EDGE, v, f"missing window edge {edge}")
+                for edge in missing]
+        if not missing:
+            complete.append(v)
+    D = _clique_distances(inst, complete)
+    # A clique holding a distance reported above has no simplex to test.
+    tested = ((D > 0.0) & np.isfinite(D) | np.eye(K + 1, dtype=bool)).all((1, 2))
+    sq = D[tested] ** 2
+    # det G = ((K-1)! V)**2 for the window's volume V; below 0 it embeds nowhere.
+    squared_volume = np.linalg.det(_gram(sq[:, :-1, :-1])) / math.factorial(K - 1) ** 2
+    flat = _flat(squared_volume, sq.max((1, 2), initial=0.0), K - 1)
+    for v in itertools.compress(itertools.compress(complete, tested), flat):
+        out.append(Violation(ViolationCode.DEGENERATE_SIMPLEX, v,
+                             f"window {list(inst.window(v))} has degenerate distance simplex"))
+    # Window violations stay in vertex order, the degenerate ones included.
+    out[start:] = sorted(out[start:], key=lambda violation: violation.vertex)
     return ValidationReport(tuple(out))
 
 
@@ -248,6 +253,18 @@ def counterexample(K: int) -> Instance:
     edges[(1, n)] = 1.0
     verts = regular_simplex(K)
     return Instance(K, n, edges, tuple(map(tuple, verts[:K])))
+
+
+def _clique_distances(inst: Instance, vertices) -> np.ndarray:
+    """Distances (L, K+1, K+1) among each vertex's complete window and the vertex (last)."""
+    K = inst.dimension
+    pairs = list(itertools.combinations(range(K + 1), 2))
+    rows, cols = np.array(pairs).T
+    D = np.zeros((len(vertices), K + 1, K + 1))
+    D[:, rows, cols] = D[:, cols, rows] = np.reshape(
+        [inst.edges[(v - K + i, v - K + j)] for v in vertices for i, j in pairs],
+        (len(vertices), len(pairs)))
+    return D
 
 
 def _window_volume(points: np.ndarray) -> float:

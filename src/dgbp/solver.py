@@ -8,9 +8,10 @@ sphere intersection; each candidate is kept unless some pruning edge (an
 edge reaching in front of the window) rejects it.  A node's *side* bit
 records which half-space of the oriented anchor hyperplane its point fell
 in, with the orientation chained so that consecutive normals have
-nonnegative dot product.  All nodes of a level share their radii and
-pruning edges, so the search expands whole batches of same-level nodes at
-once, depth first over batches of at most BATCH_ROWS.
+nonnegative dot product.  All nodes of a level place their vertex from
+one row of the instance's level table and share its pruning edges, so the
+search expands whole batches of same-level nodes at once, depth first over
+batches of at most BATCH_ROWS.
 
 Also provides an independent exhaustive oracle (``brute_force``) that
 expands every side-bit sequence without pruning and then checks every edge,
@@ -34,7 +35,7 @@ from .errors import (
     NodeBudgetExceeded,
     ParseError,
 )
-from .geometry import EPS_NORMAL, _anchor_planes, extend_stack, row_dots
+from .geometry import _EMPTY, _TANGENT, EPS_NORMAL, _anchor_planes, extend_stack, row_dots
 from .instance import Instance, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
@@ -118,25 +119,24 @@ class _Search:
     A batch is ``(level, paths, codes, references)``: row f holds the
     placed points ``paths[f, :level]`` of one feasible node, its side bits
     ``codes[f, :level]`` and the normal its children's plane is oriented by.
-    No node is kept beyond its batch.  All rows of a level share radii and
-    pruning edges, so one batch is expanded by one :func:`extend_stack`
-    call, one prune check over the level's pruning edges and one window
-    residual check.  Feasible children, in row order and side 0 first, are
-    cut into chunks of at most BATCH_ROWS rows, pushed last first.  Batches
+    No node is kept beyond its batch.  All rows of a level share their
+    row of the instance's level table and their pruning edges, so one batch
+    is expanded by one :func:`extend_stack` call, one prune check over the
+    level's pruning edges and one window residual check.  Feasible
+    children, in row order and side 0 first, are cut into chunks of at most
+    BATCH_ROWS rows, pushed last first.  Batches
     at one level are thus expanded in lexicographic code order, which is
     the preorder of a node-by-node depth-first search: leaves come out
-    sorted by code.
+    sorted by code.  The walk stops at level ``depth``, ``inst.n`` for the
+    whole tree.
     """
 
-    def __init__(self, inst: Instance, opts: SolverOptions):
+    def __init__(self, inst: Instance, opts: SolverOptions, depth: int):
         self.opts = opts
         self.K = K = inst.dimension
-        self.n = inst.n
+        self.n = depth
         self.x0 = inst.initial_points()
-        self.radii = {
-            v: np.array([inst.edges[(u, v)] for u in inst.window(v)])
-            for v in range(K + 1, self.n + 1)
-        }
+        self.levels = inst._levels
         self.prune = {}
         for v in range(K + 1, self.n + 1):
             back = [u for u in inst.predecessors(v) if u < v - K]
@@ -174,21 +174,20 @@ class _Search:
             self.codes.extend(map(tuple, codes.tolist()))
             return
         anchors = paths[:, level - K : level]
-        radii = self.radii[level + 1]
+        radii, mu, h2 = (part[level - K] for part in self.levels)
         try:
-            ext = extend_stack(anchors, radii, references)
+            ext = extend_stack(anchors, mu, h2, references)
         except DegenerateSpan as exc:
             raise DegenerateSpan(
                 f"degenerate anchors while placing vertex {level + 1}: {exc}") from exc
-        # The budget counts both children of every non-empty row, feasible
-        # or not; it is checked before they are created.
-        empty, tangent, pair = np.bincount(ext.kind, minlength=3).tolist()
-        created = 2 * (tangent + pair)
+        # The budget counts both children of every row of a non-empty
+        # level, feasible or not; it is checked before they are created.
+        created = 2 * len(paths) * (ext.kind != _EMPTY)
         self.created += created
         if not self._within_budget():
             return
-        stats.empty_extensions += empty
-        stats.tangent_events += tangent
+        stats.empty_extensions += len(paths) * (ext.kind == _EMPTY)
+        stats.tangent_events += len(paths) * (ext.kind == _TANGENT)
 
         rows, sides = np.nonzero(ext.placed)
         z = ext.points[rows, sides]
@@ -229,16 +228,14 @@ class _Search:
 def _prefix_leaves(inst: Instance, m: int) -> tuple:
     """Feasible level-m nodes of the search tree of ``inst``, in code order.
 
-    Searches the prefix instance on vertices 1..m, which keeps the edges
-    with both ends <= m: a node's feasibility depends on no other edge, so
-    its tree is the tree of ``inst`` cut off at level m.  Returns the placed
-    points (S, m, K) and the codes (length-m tuples).  Runs with the default
-    tolerances, no node budget and no validation: ``inst`` was validated
-    when it was solved.
+    The search stops at level m: a node's feasibility depends on no edge
+    reaching past its level, so this is the tree of the prefix instance on
+    vertices 1..m, read from the level table of ``inst``.  Returns the
+    placed points (S, m, K) and the codes (length-m tuples).  Runs with the
+    default tolerances, no node budget and no validation: ``inst`` was
+    validated when it was solved.
     """
-    edges = {e: d for e, d in inst.edges.items() if e[1] <= m}
-    return _Search(Instance(inst.dimension, m, edges, inst.initial_embedding),
-                   SolverOptions()).run()
+    return _Search(inst, SolverOptions(), m).run()
 
 
 def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
@@ -256,7 +253,7 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     if not report.ok:
         raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     started = time.perf_counter()
-    search = _Search(inst, opts)
+    search = _Search(inst, opts, inst.n)
     solutions, codes = search.run()
     stats = search.stats
     stats.wall_time = time.perf_counter() - started
@@ -350,7 +347,8 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.nd
     points are placed, an embedding is kept only if it satisfies *every*
     edge of the instance.  Prefixes are expanded in depth-first chunks of at
     most BATCH_ROWS rows, one :func:`extend_stack` call per chunk and level.
-    Shares only the geometric placement primitive with :func:`solve`.
+    Shares only the instance's level table and the placement primitive with
+    :func:`solve`.
     Returns the embeddings as one (S, n, K) array, in the same canonical
     order.
     """
@@ -360,10 +358,7 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.nd
     K, n = inst.dimension, inst.n
     if n - K > 24:
         raise BudgetExceeded(f"brute force over {n - K} levels is beyond the 2**24 cap")
-    radii = {
-        v: np.array([inst.edges[(u, v)] for u in inst.window(v)])
-        for v in range(K + 1, n + 1)
-    }
+    _, mu, h2 = inst._levels
     paths = np.zeros((1, n, K))
     paths[0, :K] = inst.initial_points()
     found = [np.empty((0, n, K))]
@@ -374,7 +369,7 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.nd
             bad = stacked_edge_violations(inst, paths, atol, rtol)
             found.append(paths[[not misses for misses in bad]])
             continue
-        ext = extend_stack(paths[:, level - K : level], radii[level + 1], references)
+        ext = extend_stack(paths[:, level - K : level], mu[level - K], h2[level - K], references)
         rows, sides = np.nonzero(ext.placed)
         paths = paths[rows]
         paths[:, level] = ext.points[rows, sides]

@@ -25,6 +25,7 @@ from dgbp.symmetry import (
     verify_orbit,
 )
 from flips import combine_flips, span_flips, xor_bits
+from spheres import table_row
 
 BATCH_PARAMS = [
     (K, n, p)
@@ -200,8 +201,8 @@ def test_criterion_7_geometry_unit_suite():
         radii = np.linalg.norm(anchors - target, axis=1)
         if np.any(radii <= 1e-9):
             continue
-        ext = extend_stack(anchors[None], radii)
-        if ext.kind[0] != _PAIR:
+        ext = extend_stack(anchors[None], *table_row(anchors, radii))
+        if ext.kind != _PAIR:
             continue
         # side 0 mirrored across the anchor plane is side 1
         mirrored = reflect_stack(ext.normals, ext.offsets, ext.pivots, ext.points[:, :1])

@@ -10,12 +10,15 @@ from dgbp.geometry import (
     _EMPTY,
     _PAIR,
     _TANGENT,
+    EPS_TANGENT,
     cayley_menger_volume,
     extend_stack,
     _anchor_planes,
+    level_table,
     reflect_stack,
 )
 from dgbp.instance import regular_simplex
+from spheres import table_row
 
 
 def sq_dist_matrix(points):
@@ -43,9 +46,9 @@ def mirror(normal, offset, pivot, point):
 
 
 def extend_one(anchors, radii, reference=None):
-    """extend_stack on a stack of one anchor set."""
+    """extend_stack on a stack of one anchor set, spheres of the given radii."""
     refs = None if reference is None else np.asarray([reference], dtype=float)
-    return extend_stack(np.asarray([anchors], dtype=float), radii, refs)
+    return extend_stack(np.asarray([anchors], dtype=float), *table_row(anchors, radii), refs)
 
 
 def random_anchors(rng, K, min_volume=1e-6):
@@ -240,7 +243,7 @@ class TestExtendPositions:
 
     def test_unit_circle_pair(self):
         ext = extend_one([[0, 0], [1, 0]], [1, 1])
-        assert ext.kind.tolist() == [_PAIR]
+        assert ext.kind == _PAIR
         assert ext.placed.tolist() == [[True, True]]
         got = sorted(map(tuple, ext.points[0]))
         want = [(0.5, -math.sqrt(3) / 2), (0.5, math.sqrt(3) / 2)]
@@ -248,13 +251,13 @@ class TestExtendPositions:
 
     def test_disjoint_circles_empty(self):
         ext = extend_one([[0, 0], [1, 0]], [1, 3])
-        assert ext.kind.tolist() == [_EMPTY]
+        assert ext.kind == _EMPTY
         assert ext.placed.tolist() == [[False, False]]
         assert np.isnan(ext.points).all()
 
     def test_tangent_circles(self):
         ext = extend_one([[0, 0], [2, 0]], [1, 1])
-        assert ext.kind.tolist() == [_TANGENT]
+        assert ext.kind == _TANGENT
         assert ext.placed[0].sum() == 1
         assert np.array_equal(ext.points[0, 0], ext.points[0, 1])
         assert np.allclose(ext.points[0, 0], [1, 0], atol=1e-12)
@@ -268,31 +271,25 @@ class TestExtendPositions:
         assert len(oracle) == 2
         assert np.allclose(oracle, frozen, atol=1e-9)
         ext = extend_one(anchors, radii)
-        assert ext.kind.tolist() == [_PAIR]
+        assert ext.kind == _PAIR
         assert np.allclose(sorted(map(tuple, ext.points[0])), frozen, atol=1e-9)
 
     def test_k1_two_points_on_line(self):
         ext = extend_one([[3.0]], [2.0])
-        assert ext.kind.tolist() == [_PAIR]
+        assert ext.kind == _PAIR
         assert sorted(p[0] for p in ext.points[0]) == pytest.approx([1.0, 5.0])
-
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            extend_one([[0, 0], [1, 0]], [1, 0])
-        with pytest.raises(ValueError):
-            extend_one([[0, 0], [1, 0]], [1, -1])
 
     def test_degenerate_anchors(self):
         with pytest.raises(DegenerateSpan):
-            extend_one([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [1, 1, 1])
+            extend_stack([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], [0.5, 0.5], 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            extend_stack([[0, 0], [1, 0]], [1, 1])  # one anchor set, not a stack
+            extend_stack([[0, 0], [1, 0]], [0.5], 0.75)  # one anchor set, not a stack
         with pytest.raises(DimensionMismatch):
-            extend_stack([[[0, 0, 0], [1, 0, 0]]], [1, 1, 1])  # 2 anchors in R^3
+            extend_stack([[[0, 0, 0], [1, 0, 0]]], [0.5, 0.5], 0.75)  # 2 anchors in R^3
         with pytest.raises(DimensionMismatch):
-            extend_one([[0, 0], [1, 0]], [1, 1, 1])
+            extend_stack([[[0, 0], [1, 0]]], [0.5, 0.5], 0.75)  # K - 1 = 1 weight
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_pair_points_are_reflections_and_on_spheres(self, K):
@@ -304,7 +301,7 @@ class TestExtendPositions:
             if np.any(radii <= 1e-6):
                 continue
             ext = extend_one(anchors, radii)
-            assert ext.kind.tolist() == [_PAIR]
+            assert ext.kind == _PAIR
             z1, z2 = ext.points[0]
             h = (ext.normals[0], float(ext.offsets[0]), int(ext.pivots[0]))
             assert np.max(np.abs(mirror(*h, z1) - z2)) <= 1e-9
@@ -325,7 +322,7 @@ class TestExtendPositions:
         radii = np.linalg.norm(anchors - target, axis=1)
         assume(np.all(radii > 1e-6))
         ext = extend_one(anchors, radii, reference)
-        assume(ext.kind[0] == _PAIR)
+        assume(ext.kind == _PAIR)
         normal, offset, pivot = plane(anchors, reference)
         assert np.array_equal(ext.normals[0], normal)
         assert (ext.offsets[0], ext.pivots[0]) == (offset, pivot)
@@ -358,8 +355,18 @@ def anchors_around(rng, radii, kind):
     return z + scale * radii[:, None] * (v @ basis.T)
 
 
+def rigid_copies(rng, anchors, F):
+    """F copies of ``anchors`` (K, K), each turned and moved at random: congruent rows."""
+    K = anchors.shape[1]
+    copies = []
+    for _ in range(F):
+        q, r = np.linalg.qr(rng.normal(size=(K, K)))
+        copies.append(anchors @ (q * np.sign(np.diag(r))).T + rng.normal(size=K) * 10.0)
+    return np.stack(copies)
+
+
 class TestExtendStack:
-    FIELDS = ("kind", "points", "placed", "normals", "offsets", "pivots")
+    FIELDS = ("points", "placed", "normals", "offsets", "pivots")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, derandomize=True)
@@ -368,21 +375,70 @@ class TestExtendStack:
         K = int(rng.integers(1, 5))
         F = int(rng.integers(1, 10))
         radii = rng.uniform(0.5, 2.0, K)
-        kinds = [_PAIR if K == 1 else int(rng.integers(0, 3)) for _ in range(F)]
-        X = np.stack([anchors_around(rng, radii, kind) for kind in kinds])
+        kind = _PAIR if K == 1 else int(rng.integers(0, 3))
+        anchors = anchors_around(rng, radii, kind)
+        mu, h2 = table_row(anchors, radii)
+        X = rigid_copies(rng, anchors, F)
         refs = rng.normal(size=(F, K)) if rng.random() < 0.7 else None
-        ext = extend_stack(X, radii, refs)
-        assert ext.kind.tolist() == kinds
+        ext = extend_stack(X, mu, h2, refs)
+        assert ext.kind == kind
         for f in range(F):
-            one = extend_stack(X[f : f + 1], radii, None if refs is None else refs[f : f + 1])
+            one = extend_stack(X[f : f + 1], mu, h2, None if refs is None else refs[f : f + 1])
             for name in self.FIELDS:
                 assert getattr(ext, name)[f].tobytes() == getattr(one, name)[0].tobytes(), name
-            if kinds[f] == _TANGENT:
+            if kind == _TANGENT:
                 # a fresh contiguous point, as the node-by-node search had
                 s = side(ext.normals[f], ext.offsets[f], ext.points[f, 0].copy())
                 assert ext.placed[f].tolist() == [s == 0, s == 1]
+            if kind != _EMPTY:
+                for z in ext.points[f]:
+                    assert np.abs(np.linalg.norm(X[f] - z, axis=1) - radii).max() <= 1e-9
 
     def test_degenerate_row_raises(self):
         good = [[0.0, 0.0], [1.0, 0.0]]
         with pytest.raises(DegenerateSpan):
-            extend_stack([good, [[1.0, 1.0], [1.0, 1.0]]], [1.0, 1.0])
+            extend_stack([good, [[1.0, 1.0], [1.0, 1.0]]], [0.5], 0.75)
+
+
+def in_plane_level(rng, K, scale):
+    """Anchors (K, K) and the radii of a random point of their hyperplane: tangent.
+
+    The anchors are drawn like the generator's windows (volume at least
+    1e-3 in the unit box) and scaled by ``scale``.
+    """
+    anchors = random_anchors(rng, K, min_volume=1e-3) * scale
+    normal = np.linalg.svd(anchors[:-1] - anchors[-1])[2][-1]
+    z = rng.random(K) * scale
+    z += ((anchors[-1] - z) @ normal) * normal
+    return anchors, np.linalg.norm(anchors - z, axis=1)
+
+
+class TestLevelTable:
+    """The h**2 band: tangent within EPS_TANGENT times the largest r**2, at any scale."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_in_plane_vertex_is_tangent(self, K, scale):
+        rng = np.random.default_rng(K)
+        for _ in range(200):
+            anchors, radii = in_plane_level(rng, K, scale)
+            assert table_row(anchors, radii)[1] == 0.0
+            ext = extend_one(anchors, radii)
+            assert ext.kind == _TANGENT and ext.placed.sum() == 1
+            residual = np.abs(np.linalg.norm(anchors - ext.points[0, 0], axis=1) - radii)
+            assert residual.max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_band_width(self, K, scale):
+        """Adding t to every r**2 adds t to h**2: a tenth of the band is tangent, ten empty or a pair."""
+        rng = np.random.default_rng(10 + K)
+        for _ in range(50):
+            anchors, radii = in_plane_level(rng, K, scale)
+            band = EPS_TANGENT * float((radii**2).max())
+            for t, kind in ((-10.0, _EMPTY), (-0.1, _TANGENT), (0.1, _TANGENT), (10.0, _PAIR)):
+                assert extend_one(anchors, np.sqrt(radii**2 + t * band)).kind == kind
+
+    def test_k1_height_is_the_radius(self):
+        mu, h2 = level_table([[[0.0, 2.0], [2.0, 0.0]]])
+        assert mu.shape == (1, 0) and h2.tolist() == [2.0]

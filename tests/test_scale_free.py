@@ -1,10 +1,10 @@
 """The numerical decisions do not depend on the unit of length or on the frame.
 
 Scaling every distance and coordinate of an instance by s (with the pruning
-band's absolute ``atol`` scaled along), or rotating its initial embedding,
-must leave validation, the branch codes, the per-level child histogram and
-the solution count as they are.  Degeneracy is one flatness rule, so a
-near-flat window gets one verdict at every scale.
+band's absolute ``atol`` scaled along), or rotating or translating its
+initial embedding, must leave validation, the branch codes, the per-level
+child histogram and the solution count as they are.  Degeneracy is one
+flatness rule, so a near-flat window gets one verdict at every scale.
 """
 
 import logging
@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from dgbp.geometry import cayley_menger_volume
 from dgbp.instance import Instance, ViolationCode, random_instance, validate
-from dgbp.solver import SolverOptions, solve
+from dgbp.solver import SolverOptions, brute_force, recompute_codes, solve
+from dgbp.symmetry import verify_orbit
 
 SCALES = (1e-6, 1e-3, 1e3, 1e6)
 
@@ -79,18 +80,20 @@ def test_rotation_keeps_validation_and_search(K, p, seed, s, turn):
     assert signature(turned, s) == signature(inst)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "placement subtracts squared absolute coordinates (extend_stack's b = |x|^2 - |w|^2 "
-    "- ...), which cancels far from the origin: translating the initial embedding by "
-    "1000 changes the count on 34 of 36 instances, mostly to 0 (brute_force "
-    "agrees with the wrong count)"))
-def test_translation_keeps_the_count():
-    for K in (2, 3, 4):
-        for seed in range(12):
-            inst = random_instance(K, 12, 0.2, seed)[0]
-            far = moved(inst, shift=1000.0)
-            assert validate(far).ok
-            assert signature(far)[0] == signature(inst)[0]
+@pytest.mark.parametrize("shift", [1e3, 1e4])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_translation_keeps_the_count(K, shift):
+    """Placement reads only distances, so a far-off frame keeps every branch code."""
+    for seed in range(12):
+        inst = random_instance(K, 12, 0.2, seed)[0]
+        far = moved(inst, shift=shift)
+        assert validate(far).ok
+        result = solve(far)
+        assert result.branch_codes == solve(inst).branch_codes
+        assert recompute_codes(far, brute_force(far)) == result.branch_codes
+        report = verify_orbit(result)
+        assert report.orbit_verified
+        assert all(c.code_matches and c.residual <= 1e-9 for c in report.reflection_checks)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgbp.errors import DegenerateSpan, DimensionMismatch, InvalidInstance, NodeBudgetExceeded
-from dgbp.instance import Instance, counterexample, edge_violations, random_instance
+from dgbp.cli import main
+from dgbp.instance import (
+    Instance,
+    counterexample,
+    edge_violations,
+    random_instance,
+    serialize_instance,
+)
 from dgbp.errors import ParseError
 from dgbp.geometry import _anchor_planes
 from dgbp.solver import (
@@ -160,6 +167,27 @@ class TestSolveContracts:
         assert np.allclose(result.solutions[0], [[0, 0], [1, 0]])
 
 
+def tangent_chain(K, scale, t=0.0):
+    """K + 3 points of the unit box times ``scale``, window edges only.
+
+    Vertex K + 2 is moved into the hyperplane of its window, so level K + 1
+    splits, level K + 2 is tangent (one child per row) and level K + 3
+    splits again.  Adding the same amount to every squared radius of vertex
+    K + 2 adds it to h**2; ``t`` is that amount over the largest one.
+    """
+    pts = np.random.default_rng(K).random((K + 3, K))
+    window = pts[1 : K + 1]
+    normal = np.linalg.svd(window[:-1] - window[-1])[2][-1]
+    pts[K + 1] += ((window[-1] - pts[K + 1]) @ normal) * normal
+    pts *= scale
+    edges = {(u, v): float(np.linalg.norm(pts[v - 1] - pts[u - 1]))
+             for v in range(2, K + 4) for u in range(max(1, v - K), v)}
+    radii = [(u, K + 2) for u in range(2, K + 2)]
+    extra = t * max(edges[e] for e in radii) ** 2
+    edges.update({e: math.sqrt(edges[e] ** 2 + extra) for e in radii})
+    return Instance(K, K + 3, edges, tuple(map(tuple, pts[:K])))
+
+
 class TestTangent:
     def test_tangent_extension_yields_single_child(self):
         # spheres around (0,0) and (2,0) with unit radii touch at (1,0)
@@ -173,6 +201,28 @@ class TestTangent:
         assert result.stats.tangent_events == 1
         assert np.allclose(result.solutions[0][2], [1, 0], atol=1e-9)
         assert result.branch_codes == [(0, 0, 0)]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_one_child_per_row_at_any_scale(self, K, scale):
+        inst = tangent_chain(K, scale)
+        result = solve(inst, SolverOptions(atol=1e-9 * scale))
+        stats = result.stats
+        assert result.solution_count == 4
+        assert (stats.tangent_events, stats.empty_extensions) == (2, 0)
+        assert stats.child_hist[K + 1] == [0, 2, 0]
+        assert recompute_codes(inst, result.solutions) == result.branch_codes
+        assert not any(edge_violations(inst, emb, atol=1e-9 * scale)
+                       for emb in result.solutions)
+
+    def test_level_below_the_band_is_empty(self, tmp_path):
+        inst = tangent_chain(3, 1.0, t=-1e-9)
+        result = solve(inst)
+        assert result.solution_count == 0
+        assert (result.stats.tangent_events, result.stats.empty_extensions) == (0, 2)
+        path = tmp_path / "empty.txt"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        assert main(["solve", str(path), "--out", str(tmp_path / "result.txt")]) == 2
 
 
 class TestBruteForceOracle:
