@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import shlex
 import stat
@@ -361,6 +362,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag in ("atol", "rtol", "max_nodes"):  # a NaN band turns pruning off
+        value = getattr(args, flag, None)
+        if value is not None and not 0 <= value < math.inf:
+            _say(f"--{flag.replace('_', '-')} must be finite and >= 0, got {value}")
+            return EXIT_INVALID
     command = shlex.join(argv)
     try:
         return args.func(args, command)

@@ -101,23 +101,23 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _anchor_planes(X: np.ndarray, references) -> tuple:
-    """Oriented hyperplanes through the K rows of each ``X[f]``, shape (F, K, K).
+def _anchor_planes(X: np.ndarray, references) -> np.ndarray:
+    """Oriented unit normals (F, K) of the hyperplanes through the K rows of each ``X[f]``.
 
-    Returns ``(normals, offsets, pivots, minors)``.  The raw normal of row f
-    holds the signed maximal minors of the anchor differences
-    ``X[f, :-1] - X[f, -1]``: entry j is (-1)**j times the minor left by
-    deleting column j, the generalized cross product of the K-1 rows ((1,)
-    when K = 1).  By Cauchy-Binet its length is (K-1)! times the volume of
-    the anchor simplex; when that simplex is flat against the longest
-    difference (see :func:`_flat`) DegenerateSpan is raised.
+    The raw normal of row f holds the signed maximal minors of the anchor
+    differences ``X[f, :-1] - X[f, -1]``: entry j is (-1)**j times the minor
+    left by deleting column j, the generalized cross product of the K-1 rows
+    ((1,) when K = 1).  By Cauchy-Binet its length is (K-1)! times the
+    volume of the anchor simplex; when that simplex is flat against the
+    longest difference (see :func:`_flat`) DegenerateSpan is raised.
 
     Orientation: ``references`` is (F, K) or None, and row f's normal is
     flipped, if necessary, so that ``normal . references[f] >= 0``.  With no
     reference, or where that dot product is within EPS_NORMAL of zero, the
     pivot component (the first one above EPS_NORMAL) is made positive
-    instead, which keeps the labelling deterministic.  A point x is on side
-    0 of a plane when ``normal . x - offset <= 0`` and on side 1 otherwise.
+    instead, which keeps the labelling deterministic.  The plane passes
+    through the last anchor a_K = ``X[f, -1]``: a point x is on side 0 when
+    ``normal . (x - a_K) <= 0`` and on side 1 otherwise.
     """
     F, K = X.shape[0], X.shape[2]
     diffs = X[:, :-1] - X[:, -1:]
@@ -130,35 +130,28 @@ def _anchor_planes(X: np.ndarray, references) -> tuple:
         raise DegenerateSpan("anchor points do not span a hyperplane")
     normals = minors / lengths[:, None]
     # A unit normal always has a component above EPS_NORMAL: the pivot.
-    pivots = (np.abs(normals) > EPS_NORMAL).argmax(1)
-    flip = normals[np.arange(F), pivots] < 0.0
+    flip = normals[np.arange(F), (np.abs(normals) > EPS_NORMAL).argmax(1)] < 0.0
     if references is not None:
         along = row_dots(normals, np.asarray(references, dtype=float))
         flip = (along < -EPS_NORMAL) | ((np.abs(along) <= EPS_NORMAL) & flip)
-    normals = np.where(flip[:, None], -normals, normals)
-    offsets = np.matmul(X, normals[:, :, None])[:, :, 0].sum(-1) / K
-    return normals, offsets, pivots, minors
+    return np.where(flip[:, None], -normals, normals)
 
 
-def reflect_stack(normals, offsets, pivots, points) -> np.ndarray:
+def reflect_stack(normals, bases, points) -> np.ndarray:
     """Mirror images of the points (S, T, K) across S planes, one per row.
 
     Row s of ``points`` is reflected across the plane with unit normal
-    ``normals[s]`` (S, K), offset ``offsets[s]`` and pivot ``pivots[s]``, as
-    :func:`_anchor_planes` returns them.  The plane is translated through the
-    origin along its pivot axis, the linear reflection I - 2 a a^T is applied
-    and the translation undone.  The map is an involution and an isometry,
-    and points on the plane are fixed.
+    ``normals[s]`` (S, K) through the point ``bases[s]`` (S, K), the last
+    anchor of the window the normal comes from:
+    ``x - 2 (n . (x - b)) n``.  The map is an involution and an isometry,
+    points on the plane are fixed, and only differences from the plane's
+    own point enter it, so moving points and bases together moves the
+    images with them.
     """
     a = np.ascontiguousarray(normals, dtype=float)  # see row_dots
-    q = np.array(points, dtype=float)
-    rows = np.arange(len(a))
-    pivots = np.asarray(pivots)
-    shift = np.asarray(offsets, dtype=float) / a[rows, pivots]
-    q[rows, :, pivots] -= shift[:, None]
-    q = q - 2.0 * row_dots(q, a[:, None, :])[..., None] * a[:, None, :]
-    q[rows, :, pivots] += shift[:, None]
-    return q
+    q = np.asarray(points, dtype=float)
+    along = row_dots(q - np.asarray(bases, dtype=float)[:, None, :], a[:, None, :])
+    return q - 2.0 * along[..., None] * a[:, None, :]
 
 
 # ExtensionStack.kind codes, the number of distinct intersection points.
@@ -206,16 +199,14 @@ class ExtensionStack:
     the placement with side bit ``s`` and ``placed[f, s]`` says whether
     there is one: both sides of a pair, the one side of the plane a tangent
     point falls on (it fills both slots), neither side when empty (those
-    points are NaN).  ``normals``, ``offsets`` and ``pivots`` are the
-    oriented anchor planes, as :func:`_anchor_planes` gives them.
+    points are NaN).  ``normals`` are the oriented unit normals of the
+    anchor planes, each through its row's last anchor (:func:`_anchor_planes`).
     """
 
     kind: int
     points: np.ndarray
     placed: np.ndarray
     normals: np.ndarray
-    offsets: np.ndarray
-    pivots: np.ndarray
 
 
 def extend_stack(anchors, mu, h2, references=None) -> ExtensionStack:
@@ -239,7 +230,7 @@ def extend_stack(anchors, mu, h2, references=None) -> ExtensionStack:
     if mu.shape != (K - 1,):
         raise DimensionMismatch(f"expected {K - 1} foot weights, got array of shape {mu.shape}")
     h2 = float(h2)
-    normals, offsets, pivots, _ = _anchor_planes(X, references)
+    normals = _anchor_planes(X, references)
     kind = _EMPTY if h2 < 0.0 else _TANGENT if h2 == 0.0 else _PAIR
     foot = X[:, -1].copy()
     for i, weight in enumerate(mu.tolist()):
@@ -248,6 +239,6 @@ def extend_stack(anchors, mu, h2, references=None) -> ExtensionStack:
     points = np.stack([foot - h * normals, foot + h * normals], axis=1)
     placed = np.full(points.shape[:2], kind == _PAIR)
     if kind == _TANGENT:
-        upper = row_dots(normals, foot) - offsets > 0.0
+        upper = row_dots(normals, foot - X[:, -1]) > 0.0
         placed[:, 0], placed[:, 1] = ~upper, upper
-    return ExtensionStack(kind, points, placed, normals, offsets, pivots)
+    return ExtensionStack(kind, points, placed, normals)

@@ -244,12 +244,13 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     Depth-first over batches of tree nodes of one level (see ``_Search``),
     side 0 first; solutions come out sorted by their branch code, so output
     is deterministic.  Raises InvalidInstance (with the validation report
-    attached) when validation fails, and NodeBudgetExceeded (with the flagged
-    partial result attached) when ``opts.max_nodes`` is hit: the partial
-    result holds the leaves of the batches finished before that.
+    attached) when validation within ``opts.atol``/``opts.rtol`` fails, and
+    NodeBudgetExceeded (with the flagged partial result attached) when
+    ``opts.max_nodes`` is hit: the partial result holds the leaves of the
+    batches finished before that.
     """
     opts = opts or SolverOptions()
-    report = validate(inst)
+    report = validate(inst, opts.atol, opts.rtol)
     if not report.ok:
         raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     started = time.perf_counter()
@@ -286,7 +287,7 @@ def recompute_codes(inst: Instance, stack) -> list:
     DimensionMismatch for a stack of the wrong shape and DegenerateSpan
     when some window is flat.
     """
-    X = np.ascontiguousarray(stack, dtype=float)
+    X = np.asarray(stack, dtype=float)
     K, n = inst.dimension, inst.n
     if X.ndim != 3 or X.shape[1:] != (n, K):
         raise DimensionMismatch(f"expected embeddings of shape {(n, K)}, got stack {X.shape}")
@@ -308,8 +309,8 @@ def _side_bits(X: np.ndarray, K: int) -> np.ndarray:
     the canonical sign), and ``t_v = t_{v-1} * sign(c_v . c_{v-1})``
     elsewhere: the parity of the negative turns since the last reset.
     Negation is exact, so flipping the sign of the canonical gap
-    ``c . x - offset`` gives the oriented gap bit for bit, and the side bit
-    is 0 on or behind the plane.  Works on the S * (n - K) windows as one
+    ``c . (x_v - x_{v-1})`` gives the oriented gap bit for bit, and the side
+    bit is 0 on or behind the plane.  Works on the S * (n - K) windows as one
     flat stack, whose consecutive rows are the consecutive levels of one
     embedding, except where a reset starts the next embedding.
     """
@@ -317,9 +318,8 @@ def _side_bits(X: np.ndarray, K: int) -> np.ndarray:
     levels = n - K
     rows = S * levels
     windows = X[:, np.arange(levels)[:, None] + np.arange(K)].reshape(rows, K, K)
-    normals, offsets, _, _ = _anchor_planes(windows, None)
-    # X is C-contiguous, so every row_dots operand has contiguous rows.
-    gaps = row_dots(normals, X[:, K:].reshape(rows, K)) - offsets
+    normals = _anchor_planes(windows, None)
+    gaps = row_dots(normals, (X[:, K:] - X[:, K - 1 : -1]).reshape(rows, K))
     turns = row_dots(normals[1:], normals[:-1])
     reset = np.arange(rows) % levels == 0
     reset[1:] |= np.abs(turns) <= EPS_NORMAL
@@ -352,7 +352,7 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.nd
     Returns the embeddings as one (S, n, K) array, in the same canonical
     order.
     """
-    report = validate(inst)
+    report = validate(inst, atol, rtol)
     if not report.ok:
         raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     K, n = inst.dimension, inst.n

@@ -118,9 +118,9 @@ def _mirror_tails(stack: np.ndarray, vertex: int) -> np.ndarray:
     rows from vertex-1 on are mirrored across it, earlier rows are kept.
     """
     K = stack.shape[2]
-    normals, offsets, pivots, _ = _anchor_planes(stack[:, vertex - 1 - K : vertex - 1], None)
+    normals = _anchor_planes(stack[:, vertex - 1 - K : vertex - 1], None)
     out = stack.copy()
-    out[:, vertex - 1 :] = reflect_stack(normals, offsets, pivots, stack[:, vertex - 1 :])
+    out[:, vertex - 1 :] = reflect_stack(normals, stack[:, vertex - 2], stack[:, vertex - 1 :])
     return out
 
 

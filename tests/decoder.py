@@ -20,9 +20,9 @@ def recompute_codes_by_level(inst, stack) -> list:
     bits = np.zeros((len(X), n), dtype=np.int8)
     normals = None
     for level in range(K + 1, n + 1):
-        normals, offsets, _, _ = _anchor_planes(X[:, level - 1 - K : level - 1], normals)
-        # The side bit: 0 on or behind the plane, 1 otherwise (see row_dots
-        # for the contiguous copy).
-        along = row_dots(normals, np.ascontiguousarray(X[:, level - 1]))
-        bits[:, level - 1] = ~(along - offsets <= 0.0)
+        normals = _anchor_planes(X[:, level - 1 - K : level - 1], normals)
+        # The side bit: 0 on or behind the plane through the last anchor,
+        # 1 otherwise.
+        along = row_dots(normals, X[:, level - 1] - X[:, level - 2])
+        bits[:, level - 1] = ~(along <= 0.0)
     return list(map(tuple, bits.tolist()))

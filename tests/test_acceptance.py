@@ -178,7 +178,7 @@ def test_criterion_7_geometry_unit_suite():
         while np.linalg.norm(vec) < 1e-3:
             vec = rng.normal(size=K)
         normal = vec / np.linalg.norm(vec)
-        plane = ([normal], [float(rng.normal())], [int(np.argmax(np.abs(normal) > 1e-12))])
+        plane = ([normal], [rng.normal(size=K)])
         p, q = rng.normal(size=K), rng.normal(size=K)
         # one plane, mirroring the rows p, q and then their images
         once = reflect_stack(*plane, np.array([[p, q]]))
@@ -205,7 +205,7 @@ def test_criterion_7_geometry_unit_suite():
         if ext.kind != _PAIR:
             continue
         # side 0 mirrored across the anchor plane is side 1
-        mirrored = reflect_stack(ext.normals, ext.offsets, ext.pivots, ext.points[:, :1])
+        mirrored = reflect_stack(ext.normals, anchors[None, -1], ext.points[:, :1])
         assert np.max(np.abs(mirrored[0, 0] - ext.points[0, 1])) <= 1e-9
         pairs += 1
     assert pairs >= 9_900

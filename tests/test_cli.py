@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from corpus import fixture_path
 from dgbp.cli import _plot_table, main, split_trailer
 from dgbp.errors import ParseError
-from dgbp.instance import parse_instance, random_instance, serialize_instance
+from dgbp.instance import Instance, parse_instance, random_instance, serialize_instance
 from dgbp.solver import parse_result, solve
 from writer import plot_table_by_row
 
@@ -138,6 +138,54 @@ class TestSolve:
             listed = [line.split(": ", 1)[1] for line in region_of(path).splitlines()
                       if line.startswith("# manifest output: ")]
             assert listed == [str(out), str(plot)], path
+
+    def test_initial_embedding_checked_within_the_tolerances(self, tmp_path):
+        # vertex 1 moved by 1e-7 misses edge {1, 2} by 7.4e-8: inside the
+        # band atol = 1e-6, outside the default one
+        inst = parse_instance(read(fixture_path("chain_k2_n5")))
+        first, second = inst.initial_embedding
+        moved = Instance(inst.dimension, inst.n, inst.edges,
+                         ((first[0] + 1e-7, first[1]), second))
+        path, out = tmp_path / "moved.txt", tmp_path / "res.txt"
+        path.write_text(serialize_instance(moved))
+        band = ["--atol", "1e-6", "--rtol", "0"]
+        assert main(["solve", str(path), "--out", str(out), *band]) == 0
+        assert "solution_count: 8" in read(out)
+        assert main(["verify", str(path), str(out), "--oracle", *band]) == 0
+        assert main(["solve", str(path), "--out", str(tmp_path / "default.txt")]) == 3
+
+
+#: Tolerances and node budgets no band or budget can be made of, passed as
+#: ``flag=value`` so that argparse reads "-1e-9" as a value, not an option.
+BAD_LIMITS = [("--atol", "nan"), ("--atol", "inf"), ("--atol", "-1"), ("--rtol", "nan"),
+              ("--rtol", "-1e-9"), ("--rtol", "-inf"), ("--max-nodes", "-5")]
+
+
+class TestBadLimits:
+    """An unusable tolerance or node budget is a usage error: exit 3, one line."""
+
+    @pytest.mark.parametrize("flag,value", BAD_LIMITS)
+    def test_solve(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "res.txt"
+        assert main(["solve", str(fixture_path("random_03")), "--out", str(out),
+                     f"{flag}={value}"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{flag} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [bad for bad in BAD_LIMITS if bad[0] != "--max-nodes"])
+    def test_verify(self, tmp_path, capsys, flag, value):
+        inst, res = str(fixture_path("random_03")), str(tmp_path / "res.txt")
+        assert main(["solve", inst, "--out", res]) == 0
+        capsys.readouterr()
+        assert main(["verify", inst, res, "--oracle", f"{flag}={value}"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{flag} must be ")
+
+    def test_zero_is_a_limit(self, tmp_path):
+        out = str(tmp_path / "res.txt")
+        args = ["solve", str(fixture_path("random_03")), "--out", out]
+        assert main([*args, "--atol", "0", "--rtol", "0", "--max-nodes", "0"]) == 4
 
 
 class TestAnalyze:

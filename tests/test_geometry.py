@@ -28,21 +28,22 @@ def sq_dist_matrix(points):
 
 
 def plane(points, reference=None):
-    """``(normal, offset, pivot)`` of the oriented plane through one anchor set."""
+    """``(normal, base)`` of the oriented plane through one anchor set: base is a_K."""
     refs = None if reference is None else np.asarray([reference], dtype=float)
-    normals, offsets, pivots, _ = _anchor_planes(np.asarray([points], dtype=float), refs)
-    return normals[0], float(offsets[0]), int(pivots[0])
+    X = np.asarray([points], dtype=float)
+    return _anchor_planes(X, refs)[0], X[0, -1]
 
 
-def side(normal, offset, point) -> int:
-    """The side bit: 0 when ``normal . point - offset <= 0``, else 1."""
-    return 0 if float(normal @ point) - offset <= 0.0 else 1
+def side(normal, base, point) -> int:
+    """The side bit: 0 when ``normal . (point - base) <= 0``, else 1."""
+    return 0 if float(normal @ (point - base)) <= 0.0 else 1
 
 
-def mirror(normal, offset, pivot, point):
+def mirror(normal, base, point):
     """``point`` reflected across one plane, by reflect_stack on a stack of one."""
     p = np.asarray(point, dtype=float)[None, None]
-    return reflect_stack(np.asarray([normal], dtype=float), [offset], [pivot], p)[0, 0]
+    return reflect_stack(np.asarray([normal], dtype=float), np.asarray([base], dtype=float),
+                         p)[0, 0]
 
 
 def extend_one(anchors, radii, reference=None):
@@ -112,31 +113,28 @@ class TestHyperplane:
     """The oriented anchor hyperplane, by _anchor_planes on a stack of one."""
 
     def test_x_axis_canonical(self):
-        normal, offset, pivot = plane([[0, 0], [1, 0]])
+        normal, _ = plane([[0, 0], [1, 0]])
         assert np.allclose(normal, [0, 1], atol=1e-12)
-        assert offset == pytest.approx(0.0, abs=1e-12)
-        assert pivot == 1
 
     def test_reference_flips_normal(self):
-        normal, offset, _ = plane([[0, 0], [1, 0]], reference=[0, -1])
+        normal, _ = plane([[0, 0], [1, 0]], reference=[0, -1])
         assert np.allclose(normal, [0, -1], atol=1e-12)
-        assert offset == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("reference", [[1, 0], [-1, 0], [2.5, -1e-13]])
     def test_orthogonal_reference_keeps_canonical_sign(self, reference):
         # |normal . reference| <= EPS_NORMAL is a tie: the pivot stays positive
-        normal, _, _ = plane([[0, 0], [1, 0]], reference=reference)
+        normal, _ = plane([[0, 0], [1, 0]], reference=reference)
         assert normal.tolist() == [0.0, 1.0]
 
     def test_symmetric_plane_k3(self):
-        normal, offset, _ = plane([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        normal, base = plane([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert np.allclose(normal, np.ones(3) / math.sqrt(3), atol=1e-12)
-        assert offset == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+        assert normal @ base == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
     def test_single_point_k1(self):
-        normal, offset, _ = plane([[2.5]])
+        normal, base = plane([[2.5]])
         assert normal[0] == 1.0
-        assert offset == pytest.approx(2.5)
+        assert [side(normal, base, [x]) for x in (2.0, 2.5, 3.0)] == [0, 0, 1]
 
     def test_degenerate_span(self):
         with pytest.raises(DegenerateSpan):
@@ -149,9 +147,9 @@ class TestHyperplane:
         for K in (2, 3, 4):
             for _ in range(40):
                 pts = random_anchors(rng, K)
-                normal, offset, _ = plane(pts)
+                normal, base = plane(pts)
                 assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
-                assert np.max(np.abs(pts @ normal - offset)) <= 1e-10
+                assert np.max(np.abs((pts - base) @ normal)) <= 1e-10
 
 
 class TestReflect:
@@ -161,10 +159,10 @@ class TestReflect:
         assert np.allclose(mirror(*plane([[0, 0], [1, 0]]), [1, 1]), [1, -1], atol=1e-12)
 
     def test_point_on_plane_is_fixed(self):
-        assert np.allclose(mirror([1.0, 0.0], 2.0, 0, [2, 7]), [2, 7], atol=1e-12)
+        assert np.allclose(mirror([1.0, 0.0], [2.0, -3.0], [2, 7]), [2, 7], atol=1e-12)
 
     def test_offset_plane_mirror(self):
-        assert np.allclose(mirror([1.0, 0.0], 2.0, 0, [0, 0]), [4, 0], atol=1e-12)
+        assert np.allclose(mirror([1.0, 0.0], [2.0, -3.0], [0, 0]), [4, 0], atol=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, derandomize=True)
@@ -175,7 +173,7 @@ class TestReflect:
         while np.linalg.norm(vec) < 1e-3:
             vec = rng.normal(size=K)
         normal = vec / np.linalg.norm(vec)
-        h = (normal, float(rng.normal()), int(np.argmax(np.abs(normal) > 1e-12)))
+        h = (normal, rng.normal(size=K))
         p, q = rng.normal(size=K), rng.normal(size=K)
         assert np.max(np.abs(mirror(*h, mirror(*h, p)) - p)) <= 1e-12
         d0 = np.linalg.norm(p - q)
@@ -186,28 +184,24 @@ class TestReflect:
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, derandomize=True)
     def test_stack_rows_match_scalar_formula_bit_for_bit(self, seed):
-        def scalar(a, offset, pivot, point):
+        def scalar(a, base, point):
             # the single-point formula reflect_stack generalises
-            shift = offset / a[pivot]
-            q = np.array(point, dtype=float)
-            q[pivot] -= shift
-            q = q - 2.0 * float(a @ q) * a
-            q[pivot] += shift
-            return q
+            return point - 2.0 * float(a @ (point - base)) * a
 
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, 5))
         S, T = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         anchors = np.stack([random_anchors(rng, K) for _ in range(S)])
         refs = rng.normal(size=(S, K)) if rng.random() < 0.5 else None
-        normals, offsets, pivots, _ = _anchor_planes(anchors, refs)
+        normals = _anchor_planes(anchors, refs)
+        bases = anchors[:, -1]
         points = rng.normal(size=(S, T, K)) * 10.0 ** rng.integers(-3, 4)
         before = points.copy()
-        mirrored = reflect_stack(normals, offsets, pivots, points)
+        mirrored = reflect_stack(normals, bases, points)
         assert mirrored.shape == (S, T, K)
         assert np.array_equal(points, before)
         for s in range(S):
-            h = (normals[s], float(offsets[s]), int(pivots[s]))
+            h = (normals[s], bases[s])
             for t in range(T):
                 want = scalar(*h, points[s, t]).tobytes()
                 assert mirrored[s, t].tobytes() == want
@@ -303,8 +297,7 @@ class TestExtendPositions:
             ext = extend_one(anchors, radii)
             assert ext.kind == _PAIR
             z1, z2 = ext.points[0]
-            h = (ext.normals[0], float(ext.offsets[0]), int(ext.pivots[0]))
-            assert np.max(np.abs(mirror(*h, z1) - z2)) <= 1e-9
+            assert np.max(np.abs(mirror(ext.normals[0], anchors[-1], z1) - z2)) <= 1e-9
             for z in ext.points[0]:
                 residual = np.abs(np.linalg.norm(anchors - z, axis=1) - radii)
                 assert np.max(residual / np.maximum(radii, 1e-12)) <= 1e-9
@@ -323,10 +316,9 @@ class TestExtendPositions:
         assume(np.all(radii > 1e-6))
         ext = extend_one(anchors, radii, reference)
         assume(ext.kind == _PAIR)
-        normal, offset, pivot = plane(anchors, reference)
+        normal, base = plane(anchors, reference)
         assert np.array_equal(ext.normals[0], normal)
-        assert (ext.offsets[0], ext.pivots[0]) == (offset, pivot)
-        assert [side(normal, offset, z) for z in ext.points[0]] == [0, 1]
+        assert [side(normal, base, z) for z in ext.points[0]] == [0, 1]
         along = float(normal @ reference)
         if abs(along) > EPS_NORMAL:
             assert along > 0.0
@@ -366,7 +358,7 @@ def rigid_copies(rng, anchors, F):
 
 
 class TestExtendStack:
-    FIELDS = ("points", "placed", "normals", "offsets", "pivots")
+    FIELDS = ("points", "placed", "normals")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, derandomize=True)
@@ -388,7 +380,7 @@ class TestExtendStack:
                 assert getattr(ext, name)[f].tobytes() == getattr(one, name)[0].tobytes(), name
             if kind == _TANGENT:
                 # a fresh contiguous point, as the node-by-node search had
-                s = side(ext.normals[f], ext.offsets[f], ext.points[f, 0].copy())
+                s = side(ext.normals[f], X[f, -1], ext.points[f, 0])
                 assert ext.placed[f].tolist() == [s == 0, s == 1]
             if kind != _EMPTY:
                 for z in ext.points[f]:

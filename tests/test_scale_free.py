@@ -80,7 +80,7 @@ def test_rotation_keeps_validation_and_search(K, p, seed, s, turn):
     assert signature(turned, s) == signature(inst)
 
 
-@pytest.mark.parametrize("shift", [1e3, 1e4])
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e5])
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_translation_keeps_the_count(K, shift):
     """Placement reads only distances, so a far-off frame keeps every branch code."""

@@ -718,13 +718,54 @@ class TestRecomputeCodes:
         if S:
             assert recompute_code(inst, stack[0]) == want[0]
 
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_lattice_ties_survive_exact_shifts(self, data):
+        # x_v = 2 x_{v-1} - x_{v-2} lies on the line through its last two
+        # anchors, so in its window's plane: its gap is a rounding error of
+        # either sign.  For K > 2 the three collinear points would make a
+        # later window flat, so only the last vertex continues its step.
+        K = data.draw(st.integers(2, 4), label="K")
+        n = data.draw(st.integers(K + 2, K + 8), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        steps = rng.integers(-2, 3, size=(n, K))
+        steps[~steps.any(-1), 0] = 1
+        walk = np.cumsum(steps, axis=0).astype(float)
+        levels = range(K + 1, n + 1) if K == 2 else [n]
+        tied = [v for v in levels if rng.random() < 0.4] or [n]
+        for v in tied:
+            walk[v - 1] = 2.0 * walk[v - 2] - walk[v - 3]
+        inst = Instance(K, n, {}, walk[:K].tolist())
+        try:
+            [code] = recompute_codes_by_level(inst, walk[None])
+        except DegenerateSpan:
+            return  # a flat lattice window
+        # every shift is exact on these integers, and so is every difference
+        signs = np.array(list(product((-1.0, 0.0, 1.0), repeat=K)))
+        for size in (1e3, 1e6, 2.0**40):
+            shifted = walk + size * signs[:, None, :]
+            assert recompute_codes(inst, shifted) == [code] * len(signs)
+            assert recompute_codes_by_level(inst, shifted) == [code] * len(signs)
+        # 1e-6 off the plane, either way, is read as that side
+        near = walk + 1e3 * signs[:, None, :]
+        for v in tied:
+            normal = _anchor_planes(walk[None, v - 1 - K : v - 1], None)[0]
+            bits = []
+            for step in (1e-6, -1e-6):
+                moved = near.copy()
+                moved[:, v - 1] += step * normal
+                codes = recompute_codes(inst, moved)
+                assert codes == recompute_codes_by_level(inst, moved)
+                bits.append({c[v - 1] for c in codes})
+            assert bits in ([{0}, {1}], [{1}, {0}])
+
     def test_right_angle_walk(self):
         # K = 2 on the unit grid: every turn is a tie, a straight step puts
         # the point on its plane (bit 0), and a repeated point is flat
         walk = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3),
                          (1, 2), (2, 2)], dtype=float)
         inst = Instance(2, len(walk), {}, walk[:2].tolist())
-        normals = _anchor_planes(walk[np.arange(len(walk) - 2)[:, None] + np.arange(2)], None)[0]
+        normals = _anchor_planes(walk[np.arange(len(walk) - 2)[:, None] + np.arange(2)], None)
         assert any(a @ b == 0.0 for a, b in zip(normals, normals[1:]))
         codes = recompute_codes(inst, walk[None])
         assert codes == recompute_codes_by_level(inst, walk[None])

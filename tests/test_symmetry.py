@@ -284,9 +284,9 @@ class TestPartialReflection:
         K = result.instance.dimension
         from dgbp.geometry import _anchor_planes, reflect_stack
 
-        plane = _anchor_planes(once[None, 4 - 1 - K : 4 - 1], None)[:3]
+        normals = _anchor_planes(once[None, 4 - 1 - K : 4 - 1], None)
         twice = once.copy()
-        twice[3:] = reflect_stack(*plane, once[None, 3:])[0]
+        twice[3:] = reflect_stack(normals, once[None, 4 - 2], once[None, 3:])[0]
         assert np.max(np.abs(twice - y)) <= 1e-9
 
     def test_valid_on_random_instances(self):
