@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DgbpError, InvalidInstance, NodeBudgetExceeded, ParseError
+from .errors import BudgetExceeded, DgbpError, InvalidInstance, NodeBudgetExceeded, ParseError
 from .instance import (
     counterexample,
     parse_instance,
@@ -296,10 +296,12 @@ def cmd_verify(args, command: str) -> int:
         _say("duplicate branch codes in result")
         failures += 1
     if args.oracle:
-        if inst.n - inst.dimension > 24:
+        try:
+            oracle = brute_force(inst, args.atol, args.rtol)
+        except BudgetExceeded:
             _say("oracle comparison beyond the exhaustive budget")
             return EXIT_BUDGET
-        oracle_codes = set(recompute_codes(inst, brute_force(inst, args.atol, args.rtol)))
+        oracle_codes = set(recompute_codes(inst, oracle))
         if oracle_codes != set(result.branch_codes):
             _say(f"oracle found {len(oracle_codes)} codes, result has "
                  f"{len(set(result.branch_codes))}")

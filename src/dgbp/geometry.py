@@ -47,7 +47,8 @@ def cayley_menger_volume(sq_dists, dim: int) -> float:
     ``sq_dists`` is the symmetric (dim+1) x (dim+1) matrix of squared
     distances between the simplex vertices; only distances are needed, never
     coordinates, so the test applies equally to edge-weighted cliques.  The
-    0-simplex (a single point) has volume 1 by convention.
+    squared volume is det G / (dim!)**2, G from :func:`_gram`; the
+    0-simplex (a single point) has volume 1, the determinant of no rows.
 
     Returns 0.0 iff the simplex is flat against its own longest edge (see
     :func:`_flat`), at any scale.  Raises NegativeDeterminant when the
@@ -65,13 +66,7 @@ def cayley_menger_volume(sq_dists, dim: int) -> float:
         raise ValueError("squared-distance matrix must have a zero diagonal")
     if not np.array_equal(D, D.T):
         raise ValueError("squared-distance matrix must be symmetric")
-    if dim == 0:
-        return 1.0
-    bordered = np.ones((dim + 2, dim + 2))
-    bordered[0, 0] = 0.0
-    bordered[1:, 1:] = D
-    det = float(np.linalg.det(bordered))
-    squared = (-1.0) ** (dim + 1) * det / (2.0**dim * math.factorial(dim) ** 2)
+    squared = float(np.linalg.det(_gram(D[None]))[0]) / math.factorial(dim) ** 2
     if _flat(abs(squared), float(D.max()), dim):
         return 0.0
     if squared < 0.0:

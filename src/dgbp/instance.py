@@ -91,13 +91,21 @@ class Instance:
 
     @functools.cached_property
     def _levels(self) -> tuple:
-        """The level table ``(radii, mu, h2)``: row v-K-1 places vertex v.
+        """The level table ``(radii, mu, h2, prune)``: row v-K-1 places vertex v.
 
-        Window distances (n-K, K) and :func:`geometry.level_table` of all
-        levels.  Built on first use, which must follow :func:`validate`.
+        Window distances (n-K, K), :func:`geometry.level_table` of all
+        levels, and v's pruning edges: ``prune[v-K-1]`` holds the 0-based
+        ranks (int) of v's predecessors u < v-K, in rank order, and their
+        distances.  Built on first use, which must follow :func:`validate`.
         """
-        D = _clique_distances(self, range(self.dimension + 1, self.n + 1))
-        return (D[:, :-1, -1], *level_table(D * D))
+        K = self.dimension
+        D = _clique_distances(self, range(K + 1, self.n + 1))
+        prune = []
+        for v in range(K + 1, self.n + 1):
+            back = [u for u in self.predecessors(v) if u < v - K]
+            prune.append((np.array(back, dtype=int) - 1,
+                          np.array([self.edges[(u, v)] for u in back])))
+        return (D[:, :-1, -1], *level_table(D * D), prune)
 
     def initial_points(self) -> np.ndarray:
         return np.asarray(self.initial_embedding, dtype=float)

@@ -10,8 +10,9 @@ records which half-space of the oriented anchor hyperplane its point fell
 in, with the orientation chained so that consecutive normals have
 nonnegative dot product.  All nodes of a level place their vertex from
 one row of the instance's level table and share its pruning edges, so the
-search expands whole batches of same-level nodes at once, depth first over
-batches of at most BATCH_ROWS.
+search (``_walk``, one loop over a stack of batches) expands whole batches
+of same-level nodes at once, depth first over batches of at most
+BATCH_ROWS.
 
 Also provides an independent exhaustive oracle (``brute_force``) that
 expands every side-bit sequence without pruning and then checks every edge,
@@ -113,68 +114,42 @@ class SolveResult:
 BATCH_ROWS = 1024
 
 
-class _Search:
-    """Depth-first walk over batches of equal-level tree nodes.
+def _walk(inst: Instance, opts: SolverOptions, depth: int) -> tuple:
+    """Depth-first walk over batches of equal-level tree nodes, down to level ``depth``.
 
     A batch is ``(level, paths, codes, references)``: row f holds the
     placed points ``paths[f, :level]`` of one feasible node, its side bits
     ``codes[f, :level]`` and the normal its children's plane is oriented by.
-    No node is kept beyond its batch.  All rows of a level share their
-    row of the instance's level table and their pruning edges, so one batch
-    is expanded by one :func:`extend_stack` call, one prune check over the
+    No node is kept beyond its batch.  All rows of a level share their row
+    of the instance's level table, pruning edges included, so one batch is
+    expanded by one :func:`extend_stack` call, one prune check over the
     level's pruning edges and one window residual check.  Feasible
     children, in row order and side 0 first, are cut into chunks of at most
-    BATCH_ROWS rows, pushed last first.  Batches
-    at one level are thus expanded in lexicographic code order, which is
-    the preorder of a node-by-node depth-first search: leaves come out
-    sorted by code.  The walk stops at level ``depth``, ``inst.n`` for the
-    whole tree.
+    BATCH_ROWS rows, pushed last first.  Batches at one level are thus
+    expanded in lexicographic code order, which is the preorder of a
+    node-by-node depth-first search: leaves come out sorted by code.  The
+    walk stops at level ``depth``, ``inst.n`` for the whole tree.  Returns
+    the leaves (S, depth, K), their codes and the search's SolveStats.
     """
-
-    def __init__(self, inst: Instance, opts: SolverOptions, depth: int):
-        self.opts = opts
-        self.K = K = inst.dimension
-        self.n = depth
-        self.x0 = inst.initial_points()
-        self.levels = inst._levels
-        self.prune = {}
-        for v in range(K + 1, self.n + 1):
-            back = [u for u in inst.predecessors(v) if u < v - K]
-            self.prune[v] = (np.array(back, dtype=int) - 1,
-                             np.array([inst.edges[(u, v)] for u in back]))
-        self.created = 0
-        # Leaf batches in code order; the empty one sizes a result with none.
-        self.leaves = [np.empty((0, self.n, K))]
-        self.codes: list[tuple] = []
-        self.stats = SolveStats()
-
-    def run(self) -> tuple:
-        """Search the whole tree: the leaves (S, n, K) and their codes, in code order."""
-        K, n, stats = self.K, self.n, self.stats
-        stats.nodes_feasible += K
-        stats.nodes_infeasible += K
-        for lvl in range(1, K):
-            stats.child_hist[lvl] = [0, 1, 0]
-        paths = np.zeros((1, n, K))
-        paths[0, :K] = self.x0
-        self.created += 2 * K
-        stack = [(K, paths, np.zeros((1, n), dtype=np.int8), None)]
-        while stack and self._within_budget():
-            self._expand(stack, *stack.pop())
-        stats.budget_exceeded = not self._within_budget()
-        return np.concatenate(self.leaves), self.codes
-
-    def _within_budget(self) -> bool:
-        return self.opts.max_nodes is None or self.created <= self.opts.max_nodes
-
-    def _expand(self, stack, level, paths, codes, references) -> None:
-        K, stats = self.K, self.stats
-        if level == self.n:
-            self.leaves.append(paths)
-            self.codes.extend(map(tuple, codes.tolist()))
-            return
+    K, n = inst.dimension, depth
+    levels = inst._levels
+    budget = math.inf if opts.max_nodes is None else opts.max_nodes
+    stats = SolveStats(nodes_feasible=K, nodes_infeasible=K,
+                       child_hist={lvl: [0, 1, 0] for lvl in range(1, K)})
+    created = 2 * K
+    paths = np.zeros((1, n, K))
+    paths[0, :K] = inst.initial_points()
+    stack = [(K, paths, np.zeros((1, n), dtype=np.int8), None)]
+    # Leaf batches in code order; the empty one sizes a result with none.
+    leaves, leaf_codes = [np.empty((0, n, K))], []
+    while stack and created <= budget:
+        level, paths, codes, references = stack.pop()
+        if level == n:
+            leaves.append(paths)
+            leaf_codes.extend(map(tuple, codes.tolist()))
+            continue
         anchors = paths[:, level - K : level]
-        radii, mu, h2 = (part[level - K] for part in self.levels)
+        radii, mu, h2, (back, dist) = (part[level - K] for part in levels)
         try:
             ext = extend_stack(anchors, mu, h2, references)
         except DegenerateSpan as exc:
@@ -182,21 +157,20 @@ class _Search:
                 f"degenerate anchors while placing vertex {level + 1}: {exc}") from exc
         # The budget counts both children of every row of a non-empty
         # level, feasible or not; it is checked before they are created.
-        created = 2 * len(paths) * (ext.kind != _EMPTY)
-        self.created += created
-        if not self._within_budget():
-            return
+        children = 2 * len(paths) * (ext.kind != _EMPTY)
+        created += children
+        if created > budget:
+            break
         stats.empty_extensions += len(paths) * (ext.kind == _EMPTY)
         stats.tangent_events += len(paths) * (ext.kind == _TANGENT)
 
         rows, sides = np.nonzero(ext.placed)
         z = ext.points[rows, sides]
-        back, dist = self.prune[level + 1]
         ok = np.ones(len(rows), dtype=bool)
         if len(back):
             delta = paths[rows[:, None], back] - z[:, None]
             miss = np.abs(np.sqrt(row_dots(delta, delta)) - dist)
-            ok = ~(miss > self.opts.atol + self.opts.rtol * dist).any(1)
+            ok = ~(miss > opts.atol + opts.rtol * dist).any(1)
             stats.candidates_pruned += int((~ok).sum())
         rows, sides, z = rows[ok], sides[ok], z[ok]
         if len(rows):
@@ -204,25 +178,22 @@ class _Search:
             res = np.abs(np.sqrt((gap * gap).sum(-1)) - radii).max()
             stats.max_window_residual = max(stats.max_window_residual, float(res))
         stats.nodes_feasible += len(rows)
-        stats.nodes_infeasible += created - len(rows)
+        stats.nodes_infeasible += children - len(rows)
         hist = stats.child_hist.setdefault(level, [0, 0, 0])
         per_row = np.bincount(rows, minlength=len(paths))
         for count, parents in enumerate(np.bincount(per_row, minlength=3).tolist()):
             hist[count] += parents
 
-        if np.array_equal(rows, np.arange(len(paths))):
-            # One child per row, in row order: extend the batch in place.
-            paths[:, level] = z
-            codes[:, level] = sides
-        else:
-            paths = paths[rows]
-            paths[:, level] = z
-            codes = codes[rows]
-            codes[:, level] = sides
+        paths = paths[rows]
+        paths[:, level] = z
+        codes = codes[rows]
+        codes[:, level] = sides
         normals = ext.normals[rows]
         for start in reversed(range(0, len(rows), BATCH_ROWS)):
             chunk = slice(start, start + BATCH_ROWS)
             stack.append((level + 1, paths[chunk], codes[chunk], normals[chunk]))
+    stats.budget_exceeded = created > budget
+    return np.concatenate(leaves), leaf_codes, stats
 
 
 def _prefix_leaves(inst: Instance, m: int) -> tuple:
@@ -235,13 +206,13 @@ def _prefix_leaves(inst: Instance, m: int) -> tuple:
     default tolerances, no node budget and no validation: ``inst`` was
     validated when it was solved.
     """
-    return _Search(inst, SolverOptions(), m).run()
+    return _walk(inst, SolverOptions(), m)[:2]
 
 
 def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     """Enumerate every embedding of a valid instance.
 
-    Depth-first over batches of tree nodes of one level (see ``_Search``),
+    Depth-first over batches of tree nodes of one level (see ``_walk``),
     side 0 first; solutions come out sorted by their branch code, so output
     is deterministic.  Raises InvalidInstance (with the validation report
     attached) when validation within ``opts.atol``/``opts.rtol`` fails, and
@@ -254,9 +225,7 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     if not report.ok:
         raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     started = time.perf_counter()
-    search = _Search(inst, opts, inst.n)
-    solutions, codes = search.run()
-    stats = search.stats
+    solutions, codes, stats = _walk(inst, opts, inst.n)
     stats.wall_time = time.perf_counter() - started
     result = SolveResult(inst, solutions, codes, stats)
     alarm = WINDOW_RESIDUAL_ALARM * max(inst.edges.values(), default=0.0)
@@ -350,15 +319,16 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.nd
     Shares only the instance's level table and the placement primitive with
     :func:`solve`.
     Returns the embeddings as one (S, n, K) array, in the same canonical
-    order.
+    order.  Raises BudgetExceeded when n - K > 24, before validating, and
+    InvalidInstance when validation fails.
     """
-    report = validate(inst, atol, rtol)
-    if not report.ok:
-        raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
     K, n = inst.dimension, inst.n
     if n - K > 24:
         raise BudgetExceeded(f"brute force over {n - K} levels is beyond the 2**24 cap")
-    _, mu, h2 = inst._levels
+    report = validate(inst, atol, rtol)
+    if not report.ok:
+        raise InvalidInstance(f"instance fails validation: {report.summary()}", report)
+    _, mu, h2, _ = inst._levels
     paths = np.zeros((1, n, K))
     paths[0, :K] = inst.initial_points()
     found = [np.empty((0, n, K))]

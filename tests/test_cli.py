@@ -236,6 +236,17 @@ class TestVerify:
         main(["solve", str(inst), "--out", str(res)])
         assert main(["verify", str(inst), str(res), "--oracle"]) == 0
 
+    def test_oracle_beyond_the_exhaustive_budget_exit_4(self, tmp_path, capsys):
+        # n - K = 26 levels is over brute_force's cap; the instance has 2 solutions
+        inst, res = tmp_path / "r27.txt", tmp_path / "res.txt"
+        main(["generate", "--random", "--k", "1", "--n", "27", "--prune", "1", "--seed", "0",
+              "--out", str(inst)])
+        main(["solve", str(inst), "--out", str(res)])
+        assert "solution_count: 2\n" in read(res)
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(res), "--oracle"]) == 4
+        assert capsys.readouterr().err == "oracle comparison beyond the exhaustive budget\n"
+
     def test_tampered_coordinate_exit_6(self, tmp_path, capsys):
         res = tmp_path / "res.txt"
         inst = fixture_path("chain_k2_n5")

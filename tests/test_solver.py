@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgbp.errors import DegenerateSpan, DimensionMismatch, InvalidInstance, NodeBudgetExceeded
+from dgbp.errors import (
+    BudgetExceeded,
+    DegenerateSpan,
+    DimensionMismatch,
+    InvalidInstance,
+    NodeBudgetExceeded,
+)
 from dgbp.cli import main
 from dgbp.instance import (
     Instance,
@@ -259,6 +265,49 @@ class TestBruteForceOracle:
         result = solve(broken)
         assert result.solution_count == 0
         assert brute_force(broken).shape == (0, inst.n, inst.dimension)
+
+
+    def test_cap_is_checked_before_validation(self):
+        # n - K = 25 levels is over the 2**24 cap, valid instance or not
+        valid = random_instance(1, 26, 0.0, 0)[0]
+        invalid = Instance(1, 26, {(1, 2): 1.0}, ((0.0,),))
+        for inst in (valid, invalid):
+            with pytest.raises(BudgetExceeded):
+                brute_force(inst)
+
+
+class TestLevelTable:
+    """``Instance._levels`` holds each level's pruning edges, built once."""
+
+    def test_pruning_rows(self, corpus, deep_chain):
+        for inst in [*corpus.values(), deep_chain]:
+            K = inst.dimension
+            prune = inst._levels[3]
+            assert len(prune) == inst.n - K
+            for v, (ranks, dist) in enumerate(prune, start=K + 1):
+                back = [u for u in inst.predecessors(v) if u < v - K]
+                assert ranks.dtype == np.int64 and dist.dtype == np.float64
+                assert ranks.shape == dist.shape == (len(back),)
+                assert ranks.tolist() == [u - 1 for u in back]
+                assert dist.tolist() == [inst.edges[(u, v)] for u in back]
+                assert (np.diff(ranks) > 0).all()
+        # window-only levels have empty rows: every level of a chain, and
+        # level K+1 of the deep chain, whose later levels have one edge back
+        assert not any(len(ranks) for ranks, _ in corpus["chain_k3_n6"]._levels[3])
+        deep = deep_chain._levels[3]
+        assert len(deep[0][0]) == 0
+        assert all(ranks.tolist() == [i - 1] for i, (ranks, _) in enumerate(deep[1:], start=1))
+
+    def test_prefix_walk_reuses_the_table(self, monkeypatch):
+        inst = random_instance(2, 10, 0.3, 7)[0]
+        solve(inst)
+        calls = []
+        predecessors = Instance.predecessors
+        monkeypatch.setattr(Instance, "predecessors",
+                            lambda self, v: calls.append(v) or predecessors(self, v))
+        for m in (6, inst.n):
+            _prefix_leaves(inst, m)
+        assert calls == []
 
 
 class TestBranchCode:
