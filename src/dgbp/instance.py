@@ -69,25 +69,33 @@ class Instance:
 
     def predecessors(self, v: int) -> list[int]:
         """Adjacent predecessors of ``v`` in rank order."""
-        return list(self._predecessor_lists.get(v, ()))
-
-    @functools.cached_property
-    def _predecessor_lists(self) -> dict:
-        """Every vertex's adjacent predecessors, from one walk of the edges."""
-        lists: dict = {}
-        for u, v in sorted(self.edges):
-            if 1 <= u < v:
-                lists.setdefault(v, []).append(u)
-        return lists
+        ends, _, by_end, starts, _ = self._edge_arrays
+        rows = by_end[starts[v - 1] : starts[v]] if 0 < v < len(starts) else []
+        return (ends[rows, 0] + 1).tolist()
 
     @functools.cached_property
     def _edge_arrays(self) -> tuple:
-        """The sorted edges, their 0-based end indices (|E|, 2) and distances (|E|,)."""
-        edges = sorted(self.edges)
-        ends = np.array(edges, dtype=int).reshape(-1, 2) - 1
-        d = np.array([self.edges[e] for e in edges])
-        ends.flags.writeable = d.flags.writeable = False
-        return edges, ends, d
+        """The edges, sorted once by (u, v), as ``(ends, d, by_end, starts, window)``.
+
+        0-based ends (|E|, 2) and distances (|E|,); v's edges to predecessors
+        1 <= u < v <= n are rows ``by_end[starts[v-1]:starts[v]]``, in rank
+        order; ``window[v-1, k]`` (n, K+1) is d(v-k, v), NaN where no edge.
+        """
+        K, n, m = self.dimension, max(self.n, 0), len(self.edges)
+        ends = np.fromiter(self.edges, dtype=np.dtype((np.int64, 2)), count=m)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        ends = ends[order] - 1
+        d = np.fromiter(self.edges.values(), dtype=float, count=m)[order]
+        u, v = ends.T
+        by_end = np.argsort(v, kind="stable")
+        by_end = by_end[((0 <= u) & (u < v) & (v < n))[by_end]]
+        starts = np.searchsorted(v[by_end], np.arange(n + 1))
+        window = np.full((n, max(K, 0) + 1), np.nan)
+        near = by_end[(v - u)[by_end] <= K]
+        window[v[near], (v - u)[near]] = d[near]
+        for array in (ends, d, by_end, starts, window):
+            array.flags.writeable = False
+        return ends, d, by_end, starts, window
 
     @functools.cached_property
     def _levels(self) -> tuple:
@@ -98,13 +106,13 @@ class Instance:
         ranks (int) of v's predecessors u < v-K, in rank order, and their
         distances.  Built on first use, which must follow :func:`validate`.
         """
-        K = self.dimension
-        D = _clique_distances(self, range(K + 1, self.n + 1))
-        prune = []
-        for v in range(K + 1, self.n + 1):
-            back = [u for u in self.predecessors(v) if u < v - K]
-            prune.append((np.array(back, dtype=int) - 1,
-                          np.array([self.edges[(u, v)] for u in back])))
+        K, n = self.dimension, self.n
+        ends, d, by_end = self._edge_arrays[:3]
+        D = _clique_distances(self, range(K + 1, n + 1))
+        rows = by_end[ends[by_end, 0] < ends[by_end, 1] - K]
+        # Cut before each vertex K+1..n; no vertex up to K has pruning edges.
+        cuts = np.searchsorted(ends[rows, 1], np.arange(K, n))
+        prune = list(zip(np.split(ends[rows, 0], cuts)[1:], np.split(d[rows], cuts)[1:]))
         return (D[:, :-1, -1], *level_table(D * D), prune)
 
     def initial_points(self) -> np.ndarray:
@@ -171,11 +179,16 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
     if n < K:
         out.append(Violation(ViolationCode.MALFORMED_INSTANCE, None, f"n = {n} < dimension {K}"))
 
-    for (u, v), d in sorted(inst.edges.items()):
-        if not (1 <= u < v <= n):
+    ends, dist, by_end, starts, _ = inst._edge_arrays
+    outside = np.ones(len(dist), dtype=bool)
+    outside[by_end] = False  # an edge in range is a predecessor row of its vertex v
+    nonpositive = ~((dist > 0.0) & (dist < math.inf))
+    for j in np.flatnonzero(outside | nonpositive).tolist():
+        (u, v), d = (ends[j] + 1).tolist(), dist[j].item()
+        if outside[j]:
             out.append(Violation(ViolationCode.MALFORMED_INSTANCE, None,
                                  f"edge {{{u}, {v}}} out of range"))
-        if not (math.isfinite(d) and d > 0.0):
+        if nonpositive[j]:
             out.append(Violation(ViolationCode.NONPOSITIVE_DISTANCE, None,
                                  f"edge {{{u}, {v}}} has distance {d!r}"))
 
@@ -187,21 +200,19 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
                              f"initial embedding must be {K} finite points of R^{K}"))
     else:
         pts = inst.initial_points()
-        for u in range(1, min(K, n) + 1):
-            for v in range(u + 1, min(K, n) + 1):
-                if not inst.has_edge(u, v):
-                    continue
-                d = inst.distance(u, v)
-                res = abs(float(np.linalg.norm(pts[u - 1] - pts[v - 1])) - d)
-                if res > atol + rtol * d:
-                    out.append(Violation(
-                        ViolationCode.INVALID_INITIAL_EMBEDDING, v,
-                        f"edge {{{u}, {v}}}: embedded distance off by {res:.3e}"))
+        among_first = np.flatnonzero(~outside & (ends[:, 1] < K))
+        for (u, v), d in zip((ends[among_first] + 1).tolist(), dist[among_first].tolist()):
+            res = abs(float(np.linalg.norm(pts[u - 1] - pts[v - 1])) - d)
+            if res > atol + rtol * d:
+                out.append(Violation(
+                    ViolationCode.INVALID_INITIAL_EMBEDDING, v,
+                    f"edge {{{u}, {v}}}: embedded distance off by {res:.3e}"))
 
     start = len(out)
     complete = []
+    degrees = np.diff(starts).tolist()
     for v in range(K + 1, n + 1):
-        degree = len(inst.predecessors(v))
+        degree = degrees[v - 1]
         if degree < K:
             out.append(Violation(ViolationCode.TOO_FEW_PREDECESSORS, v,
                                  f"vertex {v} has {degree} adjacent predecessors, needs {K}"))
@@ -266,12 +277,11 @@ def counterexample(K: int) -> Instance:
 def _clique_distances(inst: Instance, vertices) -> np.ndarray:
     """Distances (L, K+1, K+1) among each vertex's complete window and the vertex (last)."""
     K = inst.dimension
-    pairs = list(itertools.combinations(range(K + 1), 2))
-    rows, cols = np.array(pairs).T
-    D = np.zeros((len(vertices), K + 1, K + 1))
-    D[:, rows, cols] = D[:, cols, rows] = np.reshape(
-        [inst.edges[(v - K + i, v - K + j)] for v in vertices for i, j in pairs],
-        (len(vertices), len(pairs)))
+    rows, cols = np.triu_indices(K + 1, 1)
+    v = np.asarray(vertices, dtype=int)[:, None]
+    D = np.zeros((len(v), K + 1, K + 1))
+    # Clique positions i < j hold vertices v-K+i and v-K+j: d = window[v-K+j-1, j-i].
+    D[:, rows, cols] = D[:, cols, rows] = inst._edge_arrays[4][v - K - 1 + cols, cols - rows]
     return D
 
 
@@ -346,14 +356,15 @@ def stacked_edge_violations(inst: Instance, embeddings, atol: float = 1e-9,
     """
     emb = np.asarray(embeddings, dtype=float)
     out: list = [[] for _ in range(len(emb))]
-    edges, ends, d = inst._edge_arrays
-    if not edges or not len(emb):
+    ends, d = inst._edge_arrays[:2]
+    if not len(d) or not len(emb):
         return out
     delta = emb[:, ends[:, 0]] - emb[:, ends[:, 1]]
     res = np.abs(np.sqrt(row_dots(delta, delta)) - d)
     hits, cols = np.nonzero(~(res <= atol + rtol * d))
-    for s, j, value in zip(hits.tolist(), cols.tolist(), res[hits, cols].tolist()):
-        out[s].append((edges[j], value))
+    pairs = map(tuple, (ends[cols] + 1).tolist())
+    for s, pair, value in zip(hits.tolist(), pairs, res[hits, cols].tolist()):
+        out[s].append((pair, value))
     return out
 
 

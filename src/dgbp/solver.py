@@ -350,6 +350,14 @@ def brute_force(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> np.nd
     return np.concatenate(found)
 
 
+#: The typed header fields, in file order; the first three size the solution block.
+_FIELD_TYPES = {
+    "dimension": int, "n": int, "solution_count": int,
+    "nodes_feasible": int, "nodes_infeasible": int, "candidates_pruned": int,
+    "empty_extensions": int, "tangent_events": int, "max_window_residual": float,
+}
+
+
 def serialize_result(result: SolveResult) -> str:
     """Deterministic plain-text form of a solve result (no timing data)."""
     stats = result.stats
@@ -360,23 +368,12 @@ def serialize_result(result: SolveResult) -> str:
         status = "solved"
     else:
         status = "infeasible"
-    lines = [
-        "format: dgp-result 1",
-        f"status: {status}",
-        f"dimension: {K}",
-        f"n: {n}",
-        f"solution_count: {S}",
-        f"nodes_feasible: {stats.nodes_feasible}",
-        f"nodes_infeasible: {stats.nodes_infeasible}",
-        f"candidates_pruned: {stats.candidates_pruned}",
-        f"empty_extensions: {stats.empty_extensions}",
-        f"tangent_events: {stats.tangent_events}",
-        f"max_window_residual: {stats.max_window_residual:.17g}",
-        "child_hist:",
-    ]
-    for lvl in sorted(stats.child_hist):
-        c0, c1, c2 = stats.child_hist[lvl]
-        lines.append(f"{lvl} {c0} {c1} {c2}")
+    values = {**vars(stats), "dimension": K, "n": n, "solution_count": S}
+    lines = ["format: dgp-result 1", f"status: {status}"]
+    lines += [f"{key}: {values[key]:{'.17g' if kind is float else 'd'}}"
+              for key, kind in _FIELD_TYPES.items()]
+    lines.append("child_hist:")
+    lines += [f"{lvl} {c0} {c1} {c2}" for lvl, (c0, c1, c2) in sorted(stats.child_hist.items())]
     lines.append("solutions:")
     block = np.empty((S, n + 1), dtype=object)
     block[:, 0] = ["code " + _code_text(code) for code in result.branch_codes]
@@ -437,14 +434,6 @@ def parse_result(text: str) -> SolveResult:
     stack, codes = (_read_solutions(lines[start:], K, n, count)
                     or _read_solution_lines(lines, start, K, n, count))
     return SolveResult(None, stack, codes, stats)
-
-
-#: The typed header fields; the first three size the solution block.
-_FIELD_TYPES = {
-    "dimension": int, "n": int, "solution_count": int,
-    "nodes_feasible": int, "nodes_infeasible": int, "candidates_pruned": int,
-    "empty_extensions": int, "tangent_events": int, "max_window_residual": float,
-}
 
 
 def _read_header(lines: list) -> tuple:

@@ -132,6 +132,65 @@ class TestValidate:
         assert ViolationCode.MALFORMED_INSTANCE in report.codes()
 
 
+_CE2 = counterexample(2)
+
+#: Direct-built K=2 instances that no instance file can give: (n, edges, verdict).
+MALFORMED = {
+    "n=0": (0, {(1, 2): 1.0, (2, 3): -1.0},
+            "MalformedInstance(None): n = 0 < dimension 2; "
+            "MalformedInstance(None): edge {1, 2} out of range; "
+            "MalformedInstance(None): edge {2, 3} out of range; "
+            "NonpositiveDistance(None): edge {2, 3} has distance -1.0"),
+    "n=-1": (-1, {(1, 2): 1.0, (2, 3): -1.0},
+             "MalformedInstance(None): n = -1 < dimension 2; "
+             "MalformedInstance(None): edge {1, 2} out of range; "
+             "MalformedInstance(None): edge {2, 3} out of range; "
+             "NonpositiveDistance(None): edge {2, 3} has distance -1.0"),
+    "self-loop": (5, {**_CE2.edges, (3, 3): 1.0},
+                  "MalformedInstance(None): edge {3, 3} out of range"),
+    "u<=0": (5, {**_CE2.edges, (0, 4): 1.0, (-2, 1): 1.0},
+             "MalformedInstance(None): edge {-2, 1} out of range; "
+             "MalformedInstance(None): edge {0, 4} out of range"),
+    "v>n": (5, {**_CE2.edges, (2, 7): 1.0},
+            "MalformedInstance(None): edge {2, 7} out of range"),
+    "nan": (5, {**_CE2.edges, (1, 4): math.nan},
+            "NonpositiveDistance(None): edge {1, 4} has distance nan"),
+    "inf": (5, {**_CE2.edges, (3, 4): math.inf},
+            "NonpositiveDistance(None): edge {3, 4} has distance inf"),
+    "zero": (5, {**_CE2.edges, (1, 4): 0.0},
+             "NonpositiveDistance(None): edge {1, 4} has distance 0.0"),
+    "negative": (5, {**_CE2.edges, (2, 3): -1.0},
+                 "NonpositiveDistance(None): edge {2, 3} has distance -1.0"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+class TestMalformedDirectBuilt:
+    """The edge index of an instance built in the library, not parsed."""
+
+    def instance(self, name):
+        n, edges, _ = MALFORMED[name]
+        return Instance(2, n, edges, _CE2.initial_embedding)
+
+    def test_validate_reports_not_raises(self, name):
+        assert validate(self.instance(name)).summary() == MALFORMED[name][2]
+
+    def test_predecessors_match_a_scan_of_the_edges(self, name):
+        inst = self.instance(name)
+        for v in range(1, inst.n + 1):
+            got = inst.predecessors(v)
+            assert got == sorted(u for u, w in inst.edges if w == v and 1 <= u < v)
+            assert all(type(u) is int for u in got)
+
+    def test_edge_violations_have_int_ends(self, name):
+        inst = self.instance(name)
+        # Rows for every end up to 7; ends 0 and -2 index from the back.
+        stack = np.random.default_rng(0).random((2, 8, 2))
+        found = [edge for row in stacked_edge_violations(inst, stack) for edge, _ in row]
+        assert found and set(found) <= set(inst.edges)
+        assert all(type(end) is int for edge in found for end in edge)
+
+
 class TestEdgeKind:
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_long_edge_of_counterexample_prunes(self, K):

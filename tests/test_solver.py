@@ -23,7 +23,7 @@ from dgbp.instance import (
     serialize_instance,
 )
 from dgbp.errors import ParseError
-from dgbp.geometry import _anchor_planes
+from dgbp.geometry import _anchor_planes, level_table
 from dgbp.solver import (
     BATCH_ROWS,
     SolveResult,
@@ -299,15 +299,15 @@ class TestLevelTable:
         assert all(ranks.tolist() == [i - 1] for i, (ranks, _) in enumerate(deep[1:], start=1))
 
     def test_prefix_walk_reuses_the_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("dgbp.instance.level_table",
+                            lambda sq: calls.append(len(sq)) or level_table(sq))
         inst = random_instance(2, 10, 0.3, 7)[0]
         solve(inst)
-        calls = []
-        predecessors = Instance.predecessors
-        monkeypatch.setattr(Instance, "predecessors",
-                            lambda self, v: calls.append(v) or predecessors(self, v))
+        assert calls == [inst.n - 2]
         for m in (6, inst.n):
             _prefix_leaves(inst, m)
-        assert calls == []
+        assert calls == [inst.n - 2]
 
 
 class TestBranchCode:
