@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,7 +40,8 @@ class Instance:
     """A K-dimensional instance with vertices 1..n in rank order.
 
     ``edges`` maps unordered pairs (stored as ``(min, max)`` tuples) to
-    distances; ``initial_embedding`` gives the coordinates of vertices 1..K.
+    distances, read-only so that the tables derived from it stay true;
+    ``initial_embedding`` gives the coordinates of vertices 1..K.
     """
 
     dimension: int
@@ -53,7 +55,7 @@ class Instance:
             u, v = int(u), int(v)
             key = (u, v) if u < v else (v, u)
             normalised[key] = float(d)
-        object.__setattr__(self, "edges", normalised)
+        object.__setattr__(self, "edges", types.MappingProxyType(normalised))
         emb = tuple(tuple(float(c) for c in row) for row in self.initial_embedding)
         object.__setattr__(self, "initial_embedding", emb)
 
@@ -64,12 +66,9 @@ class Instance:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def distance(self, u: int, v: int) -> float:
-        return self.edges[(u, v) if u < v else (v, u)]
-
     def predecessors(self, v: int) -> list[int]:
         """Adjacent predecessors of ``v`` in rank order."""
-        ends, _, by_end, starts, _ = self._edge_arrays
+        ends, _, by_end, starts = self._edge_arrays[:4]
         rows = by_end[starts[v - 1] : starts[v]] if 0 < v < len(starts) else []
         return (ends[rows, 0] + 1).tolist()
 
@@ -79,20 +78,24 @@ class Instance:
 
         0-based ends (|E|, 2) and distances (|E|,); v's edges to predecessors
         1 <= u < v <= n are rows ``by_end[starts[v-1]:starts[v]]``, in rank
-        order; ``window[v-1, k]`` (n, K+1) is d(v-k, v), NaN where no edge.
+        order; ``window[v-1, k]`` (n, K+1) is the row of edge {v-k, v}, or -1.
         """
         K, n, m = self.dimension, max(self.n, 0), len(self.edges)
-        ends = np.fromiter(self.edges, dtype=np.dtype((np.int64, 2)), count=m)
+        try:
+            ends = np.fromiter(self.edges, dtype=np.dtype((np.int64, 2)), count=m)
+        except OverflowError:  # an end beyond int64 is out of range, kept exact for validate
+            ends = np.array(list(self.edges), dtype=object)
         order = np.lexsort((ends[:, 1], ends[:, 0]))
         ends = ends[order] - 1
         d = np.fromiter(self.edges.values(), dtype=float, count=m)[order]
         u, v = ends.T
         by_end = np.argsort(v, kind="stable")
         by_end = by_end[((0 <= u) & (u < v) & (v < n))[by_end]]
-        starts = np.searchsorted(v[by_end], np.arange(n + 1))
-        window = np.full((n, max(K, 0) + 1), np.nan)
-        near = by_end[(v - u)[by_end] <= K]
-        window[v[near], (v - u)[near]] = d[near]
+        u, v = ends[by_end].astype(np.int64, copy=False).T  # ends in range fit int64
+        starts = np.searchsorted(v, np.arange(n + 1))
+        window = np.full((n, max(K, 0) + 1), -1)
+        near = v - u <= K
+        window[v[near], (v - u)[near]] = by_end[near]
         for array in (ends, d, by_end, starts, window):
             array.flags.writeable = False
         return ends, d, by_end, starts, window
@@ -108,7 +111,7 @@ class Instance:
         """
         K, n = self.dimension, self.n
         ends, d, by_end = self._edge_arrays[:3]
-        D = _clique_distances(self, range(K + 1, n + 1))
+        D = _clique_distances(self)[0]
         rows = by_end[ends[by_end, 0] < ends[by_end, 1] - K]
         # Cut before each vertex K+1..n; no vertex up to K has pruning edges.
         cuts = np.searchsorted(ends[rows, 1], np.arange(K, n))
@@ -173,13 +176,15 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
     out = []
     K, n = inst.dimension, inst.n
 
-    if K < 1:
-        out.append(Violation(ViolationCode.MALFORMED_INSTANCE, None, f"dimension {K} < 1"))
-        return ValidationReport(tuple(out))
+    if K < 1 or n - K > len(inst.edges):
+        # Past K each vertex needs its window edges: fail before sizing tables by n.
+        detail = (f"dimension {K} < 1" if K < 1 else f"n = {n} has {n - K} vertices past "
+                  f"dimension {K} but only {len(inst.edges)} edges")
+        return ValidationReport((Violation(ViolationCode.MALFORMED_INSTANCE, None, detail),))
     if n < K:
         out.append(Violation(ViolationCode.MALFORMED_INSTANCE, None, f"n = {n} < dimension {K}"))
 
-    ends, dist, by_end, starts, _ = inst._edge_arrays
+    ends, dist, by_end, starts = inst._edge_arrays[:4]
     outside = np.ones(len(dist), dtype=bool)
     outside[by_end] = False  # an edge in range is a predecessor row of its vertex v
     nonpositive = ~((dist > 0.0) & (dist < math.inf))
@@ -208,34 +213,29 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
                     ViolationCode.INVALID_INITIAL_EMBEDDING, v,
                     f"edge {{{u}, {v}}}: embedded distance off by {res:.3e}"))
 
-    start = len(out)
-    complete = []
-    degrees = np.diff(starts).tolist()
-    for v in range(K + 1, n + 1):
-        degree = degrees[v - 1]
-        if degree < K:
-            out.append(Violation(ViolationCode.TOO_FEW_PREDECESSORS, v,
-                                 f"vertex {v} has {degree} adjacent predecessors, needs {K}"))
-        missing = [f"{{{u}, {v}}}" for u in inst.window(v) if not inst.has_edge(u, v)]
-        missing += [f"{{{a}, {b}}} (anchors of {v})"
-                    for a, b in itertools.combinations(inst.window(v), 2)
-                    if not inst.has_edge(a, b)]
-        out += [Violation(ViolationCode.MISSING_WINDOW_EDGE, v, f"missing window edge {edge}")
-                for edge in missing]
-        if not missing:
-            complete.append(v)
-    D = _clique_distances(inst, complete)
-    # A clique holding a distance reported above has no simplex to test.
+    D, present = _clique_distances(inst)
+    # A clique missing an edge (NaN) or holding a distance reported above has no simplex to test.
     tested = ((D > 0.0) & np.isfinite(D) | np.eye(K + 1, dtype=bool)).all((1, 2))
     sq = D[tested] ** 2
     # det G = ((K-1)! V)**2 for the window's volume V; below 0 it embeds nowhere.
     squared_volume = np.linalg.det(_gram(sq[:, :-1, :-1])) / math.factorial(K - 1) ** 2
-    flat = _flat(squared_volume, sq.max((1, 2), initial=0.0), K - 1)
-    for v in itertools.compress(itertools.compress(complete, tested), flat):
-        out.append(Violation(ViolationCode.DEGENERATE_SIMPLEX, v,
-                             f"window {list(inst.window(v))} has degenerate distance simplex"))
-    # Window violations stay in vertex order, the degenerate ones included.
-    out[start:] = sorted(out[start:], key=lambda violation: violation.vertex)
+    flat = np.zeros(len(D), dtype=bool)
+    flat[tested] = _flat(squared_volume, sq.max((1, 2), initial=0.0), K - 1)
+    # Clique positions of each {u, v} by u, then of the anchor pairs {a, b}.
+    pairs = [(i, K) for i in range(K)] + list(itertools.combinations(range(K), 2))
+    first, second = zip(*pairs)
+    for v, degree, gaps, degenerate in zip(range(K + 1, n + 1), np.diff(starts)[K:].tolist(),
+                                           (~present[:, first, second]).tolist(), flat.tolist()):
+        if degree < K:
+            out.append(Violation(ViolationCode.TOO_FEW_PREDECESSORS, v,
+                                 f"vertex {v} has {degree} adjacent predecessors, needs {K}"))
+        out += [Violation(ViolationCode.MISSING_WINDOW_EDGE, v,
+                          f"missing window edge {{{v - K + i}, {v - K + j}}}"
+                          + (f" (anchors of {v})" if j < K else ""))
+                for (i, j), gap in zip(pairs, gaps) if gap]
+        if degenerate:
+            out.append(Violation(ViolationCode.DEGENERATE_SIMPLEX, v,
+                                 f"window {list(range(v - K, v))} has degenerate distance simplex"))
     return ValidationReport(tuple(out))
 
 
@@ -274,15 +274,17 @@ def counterexample(K: int) -> Instance:
     return Instance(K, n, edges, tuple(map(tuple, verts[:K])))
 
 
-def _clique_distances(inst: Instance, vertices) -> np.ndarray:
-    """Distances (L, K+1, K+1) among each vertex's complete window and the vertex (last)."""
-    K = inst.dimension
+def _clique_distances(inst: Instance) -> tuple:
+    """Each level's clique distances (n-K, K+1, K+1), window then vertex, and which are edges."""
+    K, d, window = inst.dimension, inst._edge_arrays[1], inst._edge_arrays[4]
     rows, cols = np.triu_indices(K + 1, 1)
-    v = np.asarray(vertices, dtype=int)[:, None]
-    D = np.zeros((len(v), K + 1, K + 1))
-    # Clique positions i < j hold vertices v-K+i and v-K+j: d = window[v-K+j-1, j-i].
-    D[:, rows, cols] = D[:, cols, rows] = inst._edge_arrays[4][v - K - 1 + cols, cols - rows]
-    return D
+    v = np.arange(K + 1, inst.n + 1)[:, None]
+    # Clique positions i < j hold vertices v-K+i and v-K+j: edge window[v-K+j-1, j-i].
+    edge = window[v - K - 1 + cols, cols - rows]
+    D, present = np.zeros((len(v), K + 1, K + 1)), np.zeros((len(v), K + 1, K + 1), dtype=bool)
+    D[:, rows, cols] = D[:, cols, rows] = np.append(d, np.nan)[edge]  # row -1 reads NaN
+    present[:, rows, cols] = present[:, cols, rows] = edge >= 0
+    return D, present
 
 
 def _window_volume(points: np.ndarray) -> float:

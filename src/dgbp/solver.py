@@ -228,7 +228,7 @@ def solve(inst: Instance, opts: SolverOptions | None = None) -> SolveResult:
     solutions, codes, stats = _walk(inst, opts, inst.n)
     stats.wall_time = time.perf_counter() - started
     result = SolveResult(inst, solutions, codes, stats)
-    alarm = WINDOW_RESIDUAL_ALARM * max(inst.edges.values(), default=0.0)
+    alarm = WINDOW_RESIDUAL_ALARM * inst._edge_arrays[1].max(initial=0.0)
     if stats.max_window_residual > alarm:
         logger.warning("max window residual %.3e exceeds %.3e: numerical breakdown",
                        stats.max_window_residual, alarm)

@@ -143,7 +143,6 @@ class SymmetryReport:
     n: int
     solution_count: int
     branch_levels: frozenset
-    generators: tuple
     group_order: int
     codes: tuple
     orbit_verified: bool
@@ -180,7 +179,6 @@ def verify_orbit(result) -> SymmetryReport:
     distinct = _distinct_sorted(codes)
     n = distinct.shape[1]
     levels = branch_levels(distinct)
-    gens = tuple(suffix_flip(i, n) for i in sorted(levels))
     group_order = 2 ** len(levels)
     moves = np.diff(distinct ^ distinct[0], axis=1, prepend=0) != 0
     fixed = np.ones(n, dtype=bool)
@@ -201,7 +199,6 @@ def verify_orbit(result) -> SymmetryReport:
         n=n,
         solution_count=len(result.solutions),
         branch_levels=levels,
-        generators=gens,
         group_order=group_order,
         codes=tuple(codes),
         orbit_verified=orbit_verified,
@@ -281,7 +278,7 @@ def distance_spectrum(result, u: int, v: int) -> tuple:
             f"subtree of the level-{u} node has {len(leaves)} feasible nodes at "
             f"level {v}, expected {full}")
     dists = sorted(float(np.linalg.norm(point - anchor)) for point in leaves)
-    scale = max(inst.edges.values())
+    scale = inst._edge_arrays[1].max(initial=0.0)
     tol = SPECTRUM_TOL * scale
     clusters: list[list[float]] = [[dists[0]]]
     for d in dists[1:]:

@@ -62,6 +62,19 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 3
 
 
+    @pytest.mark.parametrize("command, line", [
+        ("validate", "MalformedInstance: vertex=None {}"),
+        ("solve", "invalid instance: MalformedInstance(None): {}"),
+    ])
+    def test_absurd_n_is_one_line(self, tmp_path, capsys, command, line):
+        path = tmp_path / "huge.txt"
+        path.write_text("dimension: 2\nn: 3000000000\ninitial_embedding:\n0 0\n1 0\n"
+                        "edges:\n1 2 1\n1 3 1\n2 3 1\n")
+        assert main([command, str(path)]) == 3
+        detail = "n = 3000000000 has 2999999998 vertices past dimension 2 but only 3 edges"
+        assert capsys.readouterr().err == line.format(detail) + "\n"
+
+
 class TestSolve:
     def test_counterexample_six_solutions(self, tmp_path):
         out = tmp_path / "res.txt"

@@ -21,6 +21,7 @@ from dgbp.instance import (
     validate,
 )
 from dgbp.solver import solve
+from validator import validate_by_vertex
 
 
 class TestCounterexample:
@@ -189,6 +190,117 @@ class TestMalformedDirectBuilt:
         found = [edge for row in stacked_edge_violations(inst, stack) for edge, _ in row]
         assert found and set(found) <= set(inst.edges)
         assert all(type(end) is int for edge in found for end in edge)
+
+
+class TestOutOfScale:
+    """Instances whose size or ends no index can hold are reported, not raised."""
+
+    TEXT = "dimension: 2\nn: {n}\ninitial_embedding:\n0 0\n1 0\nedges:\n1 2 1\n1 3 1\n2 3 1\n"
+
+    @pytest.mark.parametrize("n", [3_000_000_000, 10**20])
+    def test_more_vertices_past_k_than_edges(self, n):
+        report = validate(parse_instance(self.TEXT.format(n=n)))
+        assert report.summary() == (
+            f"MalformedInstance(None): n = {n} has {n - 2} vertices past dimension 2 "
+            "but only 3 edges")
+
+    def test_n_minus_k_edges_are_checked_in_full(self):
+        # A chain of n - K = 3 edges passes the size guard and fails as before.
+        inst = Instance(2, 5, {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0},
+                        _CE2.initial_embedding)
+        assert validate(inst) == validate_by_vertex(inst)
+        assert ViolationCode.MISSING_WINDOW_EDGE in validate(inst).codes()
+
+    def test_edge_end_beyond_int64(self):
+        inst = Instance(2, 5, {**_CE2.edges, (1, 2**70): 1.0}, _CE2.initial_embedding)
+        assert validate(inst).summary() == (
+            "MalformedInstance(None): edge {1, 1180591620717411303424} out of range")
+        assert [inst.predecessors(v) for v in range(1, 6)] == [[], [1], [1, 2], [2, 3], [1, 3, 4]]
+
+
+def _mutations(inst, seed):
+    """Six copies of ``inst``, each with two edges dropped or given a bad distance."""
+    rng = np.random.default_rng(seed)
+    keys = sorted(inst.edges)
+    for change in ("drop", "drop", math.nan, 0.0, -1.0, "triple"):
+        edges = dict(inst.edges)
+        for j in rng.choice(len(keys), size=2, replace=False).tolist():
+            if change == "drop":
+                del edges[keys[j]]
+            else:
+                edges[keys[j]] = 3.0 * edges[keys[j]] if change == "triple" else change
+        yield Instance(inst.dimension, inst.n, edges, inst.initial_embedding)
+
+
+def _same_as_by_vertex(inst):
+    """``validate(inst)``, checked against the reference or, below n - K edges, the size guard."""
+    report = validate(inst)
+    K, n, m = inst.dimension, inst.n, len(inst.edges)
+    if m < n - K:
+        assert report.summary() == (f"MalformedInstance(None): n = {n} has {n - K} "
+                                    f"vertices past dimension {K} but only {m} edges")
+    else:
+        assert report.violations == validate_by_vertex(inst).violations
+    return report
+
+
+class TestValidateByVertex:
+    """``validate`` against the per-vertex loop of ``tests/validator.py``."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_grid_and_mutations(self, K):
+        invalid = 0
+        for n in (8, 14, 20):
+            for p in (0.0, 0.1, 0.3):
+                for seed in range(4):
+                    inst, _ = random_instance(K, n, p, seed)
+                    for case in (inst, *_mutations(inst, seed)):
+                        invalid += not _same_as_by_vertex(case).ok
+        assert invalid >= 36 * 4  # most mutations break something
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_counterexample_and_mutations(self, K):
+        inst = counterexample(K)
+        for case in (inst, *_mutations(inst, K)):
+            _same_as_by_vertex(case)
+
+    def test_every_window_verdict_in_vertex_order(self):
+        inst, _ = random_instance(3, 14, 0.0, 0)
+        edges = dict(inst.edges)
+        del edges[(3, 5)]  # vertex 5 loses a predecessor; {3, 5} anchors vertex 6
+        del edges[(8, 9)]
+        edges[(1, 9)] = 1.0  # vertex 9 keeps three predecessors
+        edges[(11, 12)] = math.nan  # reported once, as a distance
+        edges[(5, 7)] = edges[(5, 6)] + edges[(6, 7)]  # window [5, 6, 7] is collinear
+        report = validate(Instance(3, 14, edges, inst.initial_embedding))
+        assert report.summary().split("; ") == [
+            "NonpositiveDistance(None): edge {11, 12} has distance nan",
+            "TooFewPredecessors(5): vertex 5 has 2 adjacent predecessors, needs 3",
+            "MissingWindowEdge(5): missing window edge {3, 5}",
+            "MissingWindowEdge(6): missing window edge {3, 5} (anchors of 6)",
+            "DegenerateSimplex(8): window [5, 6, 7] has degenerate distance simplex",
+            "MissingWindowEdge(9): missing window edge {8, 9}",
+            "MissingWindowEdge(10): missing window edge {8, 9} (anchors of 10)",
+            "MissingWindowEdge(11): missing window edge {8, 9} (anchors of 11)",
+        ]
+
+
+class TestReadOnlyEdges:
+    def test_item_assignment_raises(self):
+        inst = counterexample(2)
+        solve(inst)  # the tables derived from the edges are built
+        with pytest.raises(TypeError):
+            inst.edges[(2, 3)] = 5.0
+        with pytest.raises(TypeError):
+            del inst.edges[(1, 2)]
+        assert len(solve(inst).solutions) == 6
+
+    def test_copies_stay_plain_dicts(self):
+        inst = counterexample(2)
+        edges = dict(inst.edges)
+        edges[(2, 3)] = 5.0
+        assert inst.edges[(2, 3)] == 1.0
+        assert Instance(2, 5, edges, inst.initial_embedding).edges[(2, 3)] == 5.0
 
 
 class TestEdgeKind:

@@ -223,7 +223,8 @@ class TestVerifyOrbit:
             codes = coset
         report = verify_orbit(_bare_result(sorted(codes)))
         base = min(codes)
-        reference = {xor_bits(base, g) for g in span_flips(report.generators, n)}
+        flips = [suffix_flip(i, n) for i in sorted(report.branch_levels)]
+        reference = {xor_bits(base, g) for g in span_flips(flips, n)}
         assert report.orbit_verified == (reference == codes)
 
     def test_group_materialisation_capped(self):
@@ -236,7 +237,8 @@ class TestVerifyOrbit:
             result = solve(corpus[name])
             report = verify_orbit(result)
             codes = set(report.codes)
-            group = span_flips(report.generators, report.n)
+            flips = [suffix_flip(i, report.n) for i in sorted(report.branch_levels)]
+            group = span_flips(flips, report.n)
             for code in codes:
                 for g in group:
                     assert xor_bits(code, g) in codes
