@@ -32,6 +32,7 @@ from .instance import (
     parse_instance,
     random_instance,
     serialize_instance,
+    _size_report,
     stacked_edge_violations,
     validate,
 )
@@ -261,7 +262,7 @@ def cmd_solve(args, command: str) -> int:
 
 def cmd_analyze(args, command: str) -> int:
     started = time.perf_counter()
-    result = parse_result(_read(args.result))
+    result = parse_result(_read(args.result, ascii_bytes=True))
     if not result.solution_count:
         _say("nothing to analyze: result has no solutions")
         return EXIT_INVALID
@@ -281,11 +282,15 @@ def cmd_analyze(args, command: str) -> int:
 
 def cmd_verify(args, command: str) -> int:
     inst = parse_instance(_read(args.instance))
-    result = parse_result(_read(args.result))
+    result = parse_result(_read(args.result, ascii_bytes=True))
     _, n, K = result.solutions.shape
     if (n, K) != (inst.n, inst.dimension):
         _say(f"result is for n={n}, K={K}; instance has n={inst.n}, K={inst.dimension}")
         return EXIT_VERIFY_FAILED
+    report = _size_report(inst)
+    if not report.ok:
+        _say(f"invalid instance: {report.summary()}")
+        return EXIT_INVALID
     failures = 0
     bad_edges = stacked_edge_violations(inst, result.solutions, args.atol, args.rtol)
     for i, bad in enumerate(bad_edges):
@@ -334,16 +339,20 @@ class _FileError(Exception):
         super().__init__(f"cannot {verb} {path}: {exc.strerror or exc}")
 
 
-def _read(path: str) -> str:
+def _read(path: str, ascii_bytes: bool = False):
+    """The text of the file at ``path``; with ``ascii_bytes``, an ASCII file's bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _FileError("read", path, exc) from exc
+    if ascii_bytes and data.isascii():
+        return data
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so exc.object is all of it.
-        raise ParseError(f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})",
-                         line=exc.object.count(b"\n", 0, exc.start) + 1) from exc
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 def _write(path: str, manifest: RunManifest, body: str, started: float) -> None:

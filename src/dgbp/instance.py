@@ -162,6 +162,22 @@ class ValidationReport:
         return "; ".join(f"{v.code.value}({v.vertex}): {v.detail}" for v in self.violations)
 
 
+def _size_report(inst: Instance) -> ValidationReport:
+    """The check that must pass before anything is sized by ``inst.n``.
+
+    Past K each vertex needs its window edges, so an instance with fewer
+    edges than vertices past K (or with K < 1) fails with one
+    MalformedInstance violation, before any per-vertex table is built.
+    :func:`validate` starts with it; ``dgbp verify`` runs it alone.
+    """
+    K, n, m = inst.dimension, inst.n, len(inst.edges)
+    if K >= 1 and n - K <= m:
+        return ValidationReport(())
+    detail = (f"dimension {K} < 1" if K < 1 else
+              f"n = {n} has {n - K} vertices past dimension {K} but only {m} edges")
+    return ValidationReport((Violation(ViolationCode.MALFORMED_INSTANCE, None, detail),))
+
+
 def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> ValidationReport:
     """Check the window-structure conditions of a well-formed instance.
 
@@ -175,12 +191,9 @@ def validate(inst: Instance, atol: float = 1e-9, rtol: float = 1e-9) -> Validati
     """
     out = []
     K, n = inst.dimension, inst.n
-
-    if K < 1 or n - K > len(inst.edges):
-        # Past K each vertex needs its window edges: fail before sizing tables by n.
-        detail = (f"dimension {K} < 1" if K < 1 else f"n = {n} has {n - K} vertices past "
-                  f"dimension {K} but only {len(inst.edges)} edges")
-        return ValidationReport((Violation(ViolationCode.MALFORMED_INSTANCE, None, detail),))
+    report = _size_report(inst)
+    if not report.ok:
+        return report
     if n < K:
         out.append(Violation(ViolationCode.MALFORMED_INSTANCE, None, f"n = {n} < dimension {K}"))
 

@@ -127,7 +127,10 @@ def _walk(inst: Instance, opts: SolverOptions, depth: int) -> tuple:
     children, in row order and side 0 first, are cut into chunks of at most
     BATCH_ROWS rows, pushed last first.  Batches at one level are thus
     expanded in lexicographic code order, which is the preorder of a
-    node-by-node depth-first search: leaves come out sorted by code.  The
+    node-by-node depth-first search: leaves come out sorted by code.  Where
+    every row keeps exactly one child, the children are written into the
+    batch's own arrays, so a deep narrow chain does not copy its O(n) paths
+    at every level; a batch is copied only where rows fork or die.  The
     walk stops at level ``depth``, ``inst.n`` for the whole tree.  Returns
     the leaves (S, depth, K), their codes and the search's SolveStats.
     """
@@ -184,11 +187,12 @@ def _walk(inst: Instance, opts: SolverOptions, depth: int) -> tuple:
         for count, parents in enumerate(np.bincount(per_row, minlength=3).tolist()):
             hist[count] += parents
 
-        paths = paths[rows]
+        if (per_row == 1).all():  # rows == arange: each row is extended in place
+            normals = ext.normals
+        else:
+            paths, codes, normals = paths[rows], codes[rows], ext.normals[rows]
         paths[:, level] = z
-        codes = codes[rows]
         codes[:, level] = sides
-        normals = ext.normals[rows]
         for start in reversed(range(0, len(rows), BATCH_ROWS)):
             chunk = slice(start, start + BATCH_ROWS)
             stack.append((level + 1, paths[chunk], codes[chunk], normals[chunk]))
@@ -376,7 +380,7 @@ def serialize_result(result: SolveResult) -> str:
     lines += [f"{lvl} {c0} {c1} {c2}" for lvl, (c0, c1, c2) in sorted(stats.child_hist.items())]
     lines.append("solutions:")
     block = np.empty((S, n + 1), dtype=object)
-    block[:, 0] = ["code " + _code_text(code) for code in result.branch_codes]
+    block[:, 0] = _code_lines(result.branch_codes, "code ")
     block[:, 1:] = _row_texts(result.solutions, " ")
     lines += block.ravel().tolist()
     return "\n".join(lines) + "\n"
@@ -408,47 +412,112 @@ def _row_texts(stack: np.ndarray, sep: str) -> np.ndarray:
     return texts[source]
 
 
-#: ``bytes(code).translate`` turns the 0/1 bits of a branch code into digits.
+#: ``bytes.translate`` turns the 0/1 bits of branch codes into digits.
 _CODE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _code_text(code) -> str:
-    """A branch code as its string of 0/1 digits, as result and report files write it."""
-    return bytes(code).translate(_CODE_DIGITS).decode("ascii")
+def _code_lines(codes, head: str = "") -> list:
+    """Each branch code as ``head`` and its 0/1 digits, as result and report files write it.
+
+    All codes are joined, with ``head`` after each line break, and
+    translated to digits at once.
+    """
+    if not codes:
+        return []
+    joined = head.encode() + ("\n" + head).encode().join(map(bytes, codes))
+    return joined.translate(_CODE_DIGITS).decode("ascii").split("\n")
 
 
-def parse_result(text: str) -> SolveResult:
-    """Parse :func:`serialize_result` output (the instance is None).
+#: The most float64 values one (S, n, K) array may hold per solution, n * K.
+_MAX_ROW_VALUES = np.iinfo(np.intp).max // 8
+
+
+def parse_result(text: str | bytes) -> SolveResult:
+    """Parse :func:`serialize_result` output, as ``str`` or ``bytes`` (the instance is None).
 
     Blank lines and ``#`` comment lines may stand anywhere, and fields are
-    separated by any run of whitespace.  The header is read line by line up
-    to the ``solutions:`` line (``_read_header``); the solution block is then
-    read in bulk (``_read_solutions``).  Only when a bulk check fails is the
-    block read line by line (``_read_solution_lines``), to name the line of
-    the error.  A malformed field or histogram row, a code whose length is
-    not n and a coordinate that is not a finite number raise a line-numbered
-    ParseError.
+    separated by any run of whitespace.  Plain text (printable ASCII and
+    tabs, lines ended by LF or CRLF) is read from one index of its line
+    bounds (``_line_index``): the header line by line up to the
+    ``solutions:`` line (``_read_header``), then the solution block in bulk
+    (``_read_bulk``).  Other text, decoded as UTF-8 when given as bytes, is
+    split into lines and its block read line by line
+    (``_read_solution_lines``), as is plain text whose bulk read fails a
+    check, to name the line of the error.  A malformed field or histogram
+    row, a size no array can hold, a code whose length is not n and a
+    coordinate that is not a finite number raise a line-numbered ParseError.
     """
-    lines = text.splitlines()
-    K, n, count, stats, start = _read_header(lines)
-    stack, codes = (_read_solutions(lines[start:], K, n, count)
-                    or _read_solution_lines(lines, start, K, n, count))
-    return SolveResult(None, stack, codes, stats)
+    data = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
+    index = _line_index(data) if isinstance(data, bytes) else None
+    if index is not None:
+        K, n, count, stats, start = _read_header(
+            data[begin:end].decode("ascii") for begin, end in zip(*index))
+        read = _read_bulk(data, *index, start, K, n, count)
+        if read is not None:
+            return SolveResult(None, *read, stats)
+    lines = (text if isinstance(text, str) else text.decode("utf-8")).splitlines()
+    if index is None:
+        K, n, count, stats, start = _read_header(lines)
+    return SolveResult(None, *_read_solution_lines(lines, start, K, n, count), stats)
 
 
-def _read_header(lines: list) -> tuple:
-    """The header of a result file, read up to its ``solutions:`` line.
+def _line_index(data: bytes):
+    """``(starts, ends)``, the byte bounds of every stripped line of plain text, or None.
 
-    Returns ``(K, n, count, stats, start)``: the ``dimension``, ``n`` and
-    ``solution_count`` fields (None where missing), the other fields as
-    SolveStats, and the index of the line after ``solutions:`` (``len(lines)``
-    when there is none).  Blank and comment lines are skipped; a ``:`` line
-    is a field and, after ``child_hist:``, any other line a histogram row.
-    A ``dimension`` or ``n`` below 1 is an error, so every result has a shape.
+    Plain text is printable ASCII and tabs, in lines ended by LF or CRLF.
+    Only there do ``split(b"\\n")``, ``bytes.split`` and ``bytes.strip``
+    cut as ``str.splitlines``, ``str.split`` and ``str.strip`` cut the
+    decoded text: a lone CR or ``\\x0b`` ends a ``str`` line, and
+    ``\\x1c``..``\\x1f`` are ``str`` whitespace.  The lines are those of
+    ``str.splitlines``, each without its line end and its leading and
+    trailing blanks.  The rare line that starts or ends with a blank is
+    stripped on its own.
+    """
+    if not data.isascii() or b"\x7f" in data:
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    control = np.flatnonzero(b < 32)
+    kind = b[control]
+    ends, cr = control[kind == 10], control[kind == 13]
+    if len(ends) + len(cr) + np.count_nonzero(kind == 9) != len(control):
+        return None
+    if len(cr) and (cr[-1] + 1 == len(b) or (b[cr + 1] != 10).any()):
+        return None
+    if data[-1:] not in (b"", b"\n"):  # a last line without a line end
+        ends = np.append(ends, len(b))
+    starts = np.empty_like(ends)
+    starts[:1], starts[1:] = 0, ends[:-1] + 1
+    ends[np.searchsorted(ends, cr)] -= 1  # each CR stands just before its LF
+    # An empty line reads its line end and the byte before: stripped, it stays empty.
+    for i in np.flatnonzero(_blank(b[starts]) | _blank(b[ends - 1])).tolist():
+        line = data[starts[i] : ends[i]]
+        starts[i] += len(line) - len(line.lstrip())
+        ends[i] = starts[i] + len(line.strip())
+    return starts, ends
+
+
+def _blank(chars: np.ndarray) -> np.ndarray:
+    """Which of the bytes ``chars`` are a space or a tab."""
+    return (chars == ord(" ")) | (chars == ord("\t"))
+
+
+def _read_header(lines) -> tuple:
+    """The header of a result file, read from its lines up to the ``solutions:`` line.
+
+    ``lines`` may be any iterable of lines; none after ``solutions:`` is
+    taken.  Returns ``(K, n, count, stats, start)``: the ``dimension``,
+    ``n`` and ``solution_count`` fields (None where missing), the other
+    fields as SolveStats, and the index of the line after ``solutions:``
+    (the number of lines when there is none).  Blank and comment lines are
+    skipped; a ``:`` line is a field and, after ``child_hist:``, any other
+    line a histogram row.  A ``dimension`` or ``n`` below 1 is an error, so
+    every result has a shape, and so is one that makes n * K more than an
+    (S, n, K) float array can hold.
     """
     stats = SolveStats()
     sizes = dict.fromkeys(("dimension", "n", "solution_count"))
     hist = False
+    lineno = 0
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -480,21 +549,25 @@ def _read_header(lines: list) -> tuple:
                 value = _FIELD_TYPES[key](rest)
             except ValueError:
                 raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
-            if key in ("dimension", "n") and value < 1:
-                raise ParseError(f"{key} must be >= 1, got {value}", lineno)
+            if key in ("dimension", "n"):
+                if value < 1:
+                    raise ParseError(f"{key} must be >= 1, got {value}", lineno)
+                limit = _MAX_ROW_VALUES // (sizes["n" if key == "dimension" else "dimension"] or 1)
+                if value > limit:
+                    raise ParseError(f"{key} must be <= {limit}, got {value}", lineno)
             if key in sizes:
                 sizes[key] = value
             else:
                 setattr(stats, key, value)
         else:
             raise ParseError(f"unknown field {key!r}", lineno)
-    return *sizes.values(), stats, len(lines)
+    return *sizes.values(), stats, lineno
 
 
 def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
     """The solution block ``lines[start:]`` read line by line: ``(stack, codes)``.
 
-    The grammar ``_read_solutions`` checks in bulk, applied one line at a
+    The grammar ``_read_bulk`` checks in bulk, applied one line at a
     time so that each error names its line: a ``code`` line of n 0/1 digits
     starts a solution, and every other line that is not blank or a comment
     is one coordinate row of K numbers.  Once the block is read, the header
@@ -542,43 +615,64 @@ def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
     return np.reshape(rows, (count, n, K)), codes
 
 
-def _read_solutions(body: list, K, n, count):
-    """Bulk read of the lines after ``solutions:``: ``(stack, codes)`` or None.
+def _read_bulk(data: bytes, starts, ends, first: int, K, n, count):
+    """The solution block of plain text, lines ``first:`` of its line index, or None.
 
-    Once blank and comment lines are dropped, the body must hold ``count`` blocks of
-    one ``code`` line and n coordinate lines, so the code lines are taken by
-    stride n + 1.  Their bits are checked in one buffer.  Solutions share
-    most rows (see ``_row_texts``), so each distinct coordinate line is
-    read once and the rows are gathered by index.  The distinct lines are
-    joined with a ``;`` token after each line and split once.  Every line
-    holds K tokens iff every (K+1)-th token is a ``;``, that is iff no ``;``
-    is left once those are dropped: the float conversion of the rest checks
-    that.  Python's ``float`` reads the tokens, so the values are those of
-    ``_read_solution_lines``.  Returns None, and leaves naming the error to
-    ``_read_solution_lines``, when any check fails.
+    Returns ``(stack, codes)`` when the block passes every check, and None,
+    leaving the error to ``_read_solution_lines``, when any fails.  Once
+    blank and comment lines are dropped, the block must hold ``count``
+    blocks of one ``code`` line and n coordinate lines, so nothing is sized
+    by n before that count bounds it.  The code lines, taken by stride
+    n + 1, must end in n bits, which are checked as one (count, n) matrix.
+    Neighbours in code order share every row above the first bit where
+    their codes differ (see ``_row_texts``).  That prefix is predicted from
+    the codes and confirmed by one comparison of the bytes spanning it in
+    the two solutions, since equal bytes cut into equal lines; a solution
+    whose prefix is not confirmed has every row read.  The rows read are
+    joined with a ``;`` token after each and split once.  Every row holds K
+    tokens iff every (K+1)-th token is a ``;``, that is iff no ``;`` is left
+    once those are dropped: the float conversion of the rest checks that.
+    Python's ``float`` reads the tokens, so the values are those of
+    ``_read_solution_lines``.  Each row is then gathered from the last
+    solution up to it that read it.
     """
     if K is None or n is None or count is None:
         return None
-    kept = [line for line in map(str.strip, body) if line and line[0] != "#"]
-    if len(kept) != count * (n + 1):
+    b = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = starts[first:], ends[first:]
+    kept = ends > starts
+    kept[kept] = b[starts[kept]] != ord("#")
+    if np.count_nonzero(kept) != count * (n + 1):
         return None
-    heads = kept[:: n + 1]
-    if not all(head.startswith("code ") for head in heads):
+    if not count:
+        return np.empty((0, n, K)), []
+    starts, ends = starts[kept].reshape(count, n + 1), ends[kept].reshape(count, n + 1)
+    heads, head_ends = starts[:, 0], ends[:, 0]
+    exact = head_ends - heads == n + 5
+    if not (b[heads[exact, None] + np.arange(5)] == np.frombuffer(b"code ", np.uint8)).all():
         return None
-    bits = [head[5:].lstrip() for head in heads]
-    if any(len(b) != n for b in bits):
+    for i in np.flatnonzero(~exact).tolist():
+        head = data[heads[i] : head_ends[i]]
+        if not head.startswith(b"code ") or len(head[5:].lstrip()) != n:
+            return None
+    bits = b[head_ends[:, None] - n + np.arange(n)] - ord("0")
+    if (bits > 1).any():
         return None
-    try:
-        flat = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-    if ((flat != ord("0")) & (flat != ord("1"))).any():
-        return None
-    del kept[:: n + 1]
-    index: dict = {}
-    rows = [index.setdefault(line, len(index)) for line in kept]
-    tokens = " ; ".join([*index, ""]).split()
-    if len(tokens) != len(index) * (K + 1):
+    starts, ends = starts[:, 1:], ends[:, 1:]
+    fresh = np.ones((count, n), dtype=bool)
+    split = (bits[1:] != bits[:-1]).argmax(1)
+    later = np.flatnonzero(split) + 1
+    prefix = split[later - 1]
+    begin, end = starts[later, 0], ends[later, prefix - 1]
+    before, before_end = starts[later - 1, 0], ends[later - 1, prefix - 1]
+    same = end - begin == before_end - before
+    same[same] = [data[i:j] == data[k:m] for i, j, k, m in zip(
+        begin[same].tolist(), end[same].tolist(), before[same].tolist(),
+        before_end[same].tolist())]
+    fresh[later[same]] = np.arange(n) >= prefix[same, None]
+    rows = [data[i:j] for i, j in zip(starts[fresh].tolist(), ends[fresh].tolist())]
+    tokens = b" ; ".join([*rows, b""]).split()
+    if len(tokens) != len(rows) * (K + 1):
         return None
     del tokens[K :: K + 1]
     try:
@@ -587,5 +681,6 @@ def _read_solutions(body: list, K, n, count):
         return None
     if not np.isfinite(values).all():
         return None
-    codes = (flat - ord("0")).reshape(count, n)
-    return values.reshape(-1, K)[rows].reshape(count, n, K), list(map(tuple, codes.tolist()))
+    source = np.where(fresh, np.cumsum(fresh).reshape(fresh.shape) - 1, 0)
+    np.maximum.accumulate(source, axis=0, out=source)
+    return values.reshape(-1, K)[source], list(zip(*bits.T.tolist()))

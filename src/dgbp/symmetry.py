@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AmbiguousSpectrum, NoSiblingBranch, SubtreeNotFull
 from .geometry import _anchor_planes, reflect_stack
-from .solver import _code_text, _prefix_leaves
+from .solver import _code_lines, _prefix_leaves
 
 #: Relative cluster tolerance for distance spectra (scaled by the largest
 #: edge distance of the instance).
@@ -219,7 +219,7 @@ def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
     mirrored|``.
     """
     S, n = stack.shape[:2]
-    keys = [int(_code_text(code), 2) for code in codes]
+    keys = [int(digits, 2) for digits in _code_lines(codes)]
     index_of = {key: i for i, key in enumerate(keys)}
     partners = np.empty((S, len(levels)), dtype=np.int64)
     residuals = np.empty((S, len(levels)))
@@ -310,7 +310,7 @@ def serialize_report(report: SymmetryReport) -> str:
         f"tangent_events: {report.tangent_events}",
         "codes:",
     ]
-    lines += map(_code_text, report.codes)
+    lines += _code_lines(report.codes)
     lines.append("reflection_checks:")
     for chk in report.reflection_checks:
         lines.append(

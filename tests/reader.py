@@ -101,8 +101,14 @@ class _LineReader:
                 value = float(rest) if key == "max_window_residual" else int(rest)
             except ValueError:
                 raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
-            if key in ("dimension", "n") and value < 1:
-                raise ParseError(f"{key} must be >= 1, got {value}", lineno)
+            if key in ("dimension", "n"):
+                if value < 1:
+                    raise ParseError(f"{key} must be >= 1, got {value}", lineno)
+                # n * K float64 values must fit one array's byte count
+                other = (self.n if key == "dimension" else self.K) or 1
+                limit = np.iinfo(np.intp).max // 8 // other
+                if value > limit:
+                    raise ParseError(f"{key} must be <= {limit}, got {value}", lineno)
             if key == "dimension":
                 self.K = value
             elif key == "n":

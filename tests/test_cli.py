@@ -222,6 +222,19 @@ class TestAnalyze:
         main(["solve", str(fixture_path("random_09")), "--out", str(res)])
         assert main(["analyze", str(res), "--out", str(tmp_path / "rep.txt")]) == 0
 
+    def test_crlf_result_reads_as_lf(self, tmp_path):
+        # the same result with CRLF line ends gives the same report and exit
+        res, crlf = tmp_path / "res.txt", tmp_path / "crlf.txt"
+        main(["solve", str(fixture_path("counterexample_k2")), "--out", str(res)])
+        crlf.write_bytes(res.read_bytes().replace(b"\n", b"\r\n"))
+        reports = []
+        for path in (res, crlf):
+            rep = tmp_path / f"{path.stem}.symmetry.txt"
+            assert main(["analyze", str(path), "--out", str(rep)]) == 5
+            reports.append([line for line in read(rep).splitlines()
+                            if not line.startswith("#")])
+        assert reports[0] == reports[1]
+
     def test_infeasible_result_exit_3(self, tmp_path):
         text = read(fixture_path("random_03"))
         inst = parse_instance(text)
@@ -286,6 +299,30 @@ class TestVerify:
         assert main(["verify", str(fixture_path("random_03")), str(res)]) == 3
         assert capsys.readouterr().err == (
             "parse error: line 2: dimension must be >= 1, got -1\n")
+
+    def test_absurd_n_is_one_line(self, tmp_path, capsys):
+        # an empty result that fits the instance: the instance's size check
+        # runs before any table is sized by n
+        inst, res = tmp_path / "huge.txt", tmp_path / "res.txt"
+        inst.write_text("dimension: 2\nn: 3000000000\ninitial_embedding:\n0 0\n1 0\n"
+                        "edges:\n1 2 1\n1 3 1\n2 3 1\n")
+        res.write_text("format: dgp-result 1\ndimension: 2\nn: 3000000000\n"
+                       "solution_count: 0\nsolutions:\n")
+        assert main(["verify", str(inst), str(res)]) == 3
+        assert capsys.readouterr().err == (
+            "invalid instance: MalformedInstance(None): n = 3000000000 has 2999999998 "
+            "vertices past dimension 2 but only 3 edges\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_size_no_array_holds_exit_3(self, tmp_path, capsys, command):
+        res = tmp_path / "res.txt"
+        res.write_text("format: dgp-result 1\ndimension: 2\nn: 100000000000000000000\n"
+                       "solution_count: 0\nsolutions:\n")
+        inst = [str(fixture_path("random_03"))] if command == "verify" else []
+        assert main([command, *inst, str(res)]) == 3
+        assert capsys.readouterr().err == (
+            "parse error: line 3: n must be <= 576460752303423487, "
+            "got 100000000000000000000\n")
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
     def test_empty_result_of_other_shape_exit_6(self, tmp_path, capsys, oracle):

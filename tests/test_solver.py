@@ -23,16 +23,17 @@ from dgbp.instance import (
     serialize_instance,
 )
 from dgbp.errors import ParseError
-from dgbp.geometry import _anchor_planes, level_table
+from dgbp.geometry import _anchor_planes, extend_stack, level_table
 from dgbp.solver import (
     BATCH_ROWS,
     SolveResult,
     SolveStats,
     SolverOptions,
+    _line_index,
     _prefix_leaves,
+    _read_bulk,
     _read_header,
     _read_solution_lines,
-    _read_solutions,
     brute_force,
     parse_result,
     recompute_code,
@@ -485,6 +486,15 @@ def small_results():
             for K in (1, 2, 3, 4) for seed, p in enumerate((0.0, 0.3, 0.6))]
 
 
+def bulk_read(text: str):
+    """What ``parse_result``'s bulk path makes of plain text: ``(stack, codes)`` or None."""
+    data = text.encode("ascii")
+    index = _line_index(data)
+    assert index is not None, "not plain text"
+    K, n, count, _, start = _read_header(data[a:b].decode() for a, b in zip(*index))
+    return _read_bulk(data, *index, start, K, n, count)
+
+
 def outcome(parse, text):
     try:
         result = parse(text)
@@ -534,7 +544,7 @@ class TestBulkRead:
                 lines.insert(at, "" if change == "blank" else "# note")
             elif change == "trailing":
                 lines[at % len(lines)] += " \t "
-            elif not rows:
+            elif not rows or not codes:  # a code-tab damage may leave no code line
                 continue
             elif change in ("twin-spaces", "twin-damage"):
                 # a row with a byte-identical twin, which the bulk read reads
@@ -591,9 +601,7 @@ class TestBulkRead:
         assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
         if not damages:
             # layout alone never sends the read to the line loop
-            split = text.splitlines()
-            K, n, count, _, start = _read_header(split)
-            assert _read_solutions(split[start:], K, n, count)
+            assert bulk_read(text) is not None
 
     @given(data=st.data())
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -673,6 +681,139 @@ class TestBulkRead:
                 parse(text)
             assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
 
+    @pytest.fixture(scope="class")
+    def tree_lines(self):
+        """The lines of a K=2, n=8 full tree's result: 64 solutions, no pruning."""
+        return serialize_result(solve(random_instance(2, 8, 0.0, 3)[0])).splitlines()
+
+    @staticmethod
+    def shared_rows(lines):
+        """``(code line, row)`` of every row the codes predict as read before.
+
+        Row j of a solution repeats the row of the solution before when the
+        two codes agree on bits 0..j.
+        """
+        heads = [i for i, line in enumerate(lines) if line.startswith("code ")]
+        return [(head, row) for before, head in zip(heads, heads[1:])
+                for row in range(len(lines[head]) - 5)
+                if lines[head][5 : 5 + row + 1] == lines[before][5 : 5 + row + 1]]
+
+    @pytest.mark.parametrize("which", ["first", "last", "root"])
+    def test_edited_shared_row(self, tree_lines, which):
+        # a row the codes predict as shared, edited to another valid number:
+        # the comparison of the shared bytes catches it, and the read stays bulk
+        lines = list(tree_lines)
+        shared = self.shared_rows(lines)
+        head, row = {"first": shared[0], "last": shared[-1],
+                     "root": next(pair for pair in shared if pair[1] == 0)}[which]
+        at = head + 1 + row
+        value = float(lines[at].split()[1]) + 0.25
+        lines[at] = f"{lines[at].split()[0]} {value!r}"
+        text = "\n".join(lines)
+        assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
+        stack, _ = bulk_read(text)
+        solution = sum(line.startswith("code ") for line in lines[:head + 1]) - 1
+        assert stack[solution, row, 1] == value != stack[solution - 1, row, 1]
+
+    @pytest.mark.parametrize("how", ["code", "block"])
+    def test_duplicate_code(self, tree_lines, how):
+        # one code line repeated: on its own, or with its rows as an extra solution
+        lines = list(tree_lines)
+        heads = [i for i, line in enumerate(lines) if line.startswith("code ")]
+        if how == "code":
+            lines[heads[5]] = lines[heads[4]]
+        else:
+            lines[heads[5] : heads[5]] = lines[heads[4] : heads[5]]
+            lines[lines.index("solution_count: 64")] = "solution_count: 65"
+        text = "\n".join(lines)
+        assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
+        stack, codes = bulk_read(text)
+        assert codes[4] == codes[5] and len(codes) == 64 + (how == "block")
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_bytes_read_as_str(self, small_results, data):
+        # a result given as bytes parses as its text, plain or not
+        lines = data.draw(st.sampled_from(small_results)).splitlines()
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", "# note", "# caf\u00e9", "x"])))
+        text = data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+        assert outcome(parse_result, text.encode()) == outcome(parse_result, text)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1f", "\r", "\x85",
+                                      "\u00a0", "\u2028", "\x7f", "\x00"])
+    @pytest.mark.parametrize("where", ["row-inside", "row-end", "code-end", "header",
+                                       "comment"])
+    def test_text_beyond_plain(self, small_results, char, where):
+        # characters on which bytes and str split or strip differently: such
+        # text takes the line loop, as str and as bytes, with its outcome
+        lines = small_results[4].splitlines()
+        row = lines.index("solutions:") + 3
+        if where == "row-inside":
+            lines[row] = lines[row].replace(" ", char, 1)
+        elif where == "row-end":  # a blank after it, so that a CR is not a CRLF
+            lines[row] += char + " "
+        elif where == "code-end":
+            lines[row - 2] += char + " "
+        elif where == "header":
+            lines.insert(1, f" {char} ")
+        else:
+            lines.insert(row, "# " + char + " note")
+        text = "\n".join(lines)
+        want = outcome(parse_result_by_line, text)
+        assert outcome(parse_result, text) == want
+        assert outcome(parse_result, text.encode()) == want
+        assert _line_index(text.encode()) is None
+
+    @pytest.mark.parametrize("layout", ["crlf", "tabs", "spaces", "trailing", "leading",
+                                        "blank", "comment", "code-spaces"])
+    def test_layouts_stay_bulk(self, tree_lines, layout):
+        lines = list(tree_lines)
+        body = lines.index("solutions:") + 1
+        for i in range(body, len(lines), 7):
+            if layout in ("tabs", "spaces") and not lines[i].startswith("code "):
+                lines[i] = lines[i].replace(" ", "\t" if layout == "tabs" else "   ")
+            elif layout == "trailing":
+                lines[i] += " \t"
+            elif layout == "leading":
+                lines[i] = "\t " + lines[i]
+            elif layout == "blank":
+                lines[i] += "\n\n \t"
+            elif layout == "comment":
+                lines[i] += "\n# note"
+            elif layout == "code-spaces" and lines[i].startswith("code "):
+                lines[i] = "code  \t" + lines[i][5:]
+        text = ("\r\n" if layout == "crlf" else "\n").join(lines)
+        assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
+        stack, codes = bulk_read(text)
+        result = parse_result("\n".join(tree_lines))
+        assert stack.tobytes() == result.solutions.tobytes()
+        assert codes == result.branch_codes
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("dimension: 2\nn: 100000000000000000000\nsolution_count: 0\nsolutions:\n", 2,
+         "n must be <= 576460752303423487, got 100000000000000000000"),
+        ("n: 3000000000\ndimension: 384307169\nsolution_count: 0\nsolutions:\n", 2,
+         "dimension must be <= 384307168, got 384307169"),
+        ("dimension: 1\nn: 1152921504606846976\nsolution_count: 0\nsolutions:\n", 2,
+         "n must be <= 1152921504606846975, got 1152921504606846976"),
+    ], ids=["n=1e20", "n*K", "n-past-limit"])
+    def test_sizes_no_array_holds_rejected(self, text, line, message):
+        # n * K float64 values must fit one array, even with no solutions
+        for parse in (parse_result, parse_result_by_line):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+    def test_largest_sizes_read_empty(self):
+        # sizes up to the limit give an empty result of that shape, sized by nothing
+        text = "dimension: 2\nn: 3000000000\nsolution_count: 0\nsolutions:\n"
+        for parse in (parse_result, parse_result_by_line):
+            assert parse(text).solutions.shape == (0, 3_000_000_000, 2)
+        text = "dimension: 1\nn: 1152921504606846975\nsolution_count: 0\nsolutions:\n"
+        assert parse_result(text).solutions.shape == (0, 1152921504606846975, 1)
+
 
 @pytest.fixture(scope="module")
 def cap_instances(corpus):
@@ -700,6 +841,25 @@ class TestBatchedSearch:
             for inst in cap_instances:
                 codes = solve(inst).branch_codes
                 assert all(a < b for a, b in zip(codes, codes[1:])), cap
+
+    def test_single_child_levels_extend_in_place(self, deep_chain, monkeypatch):
+        # Only vertex K+1 of the chain branches.  After it each row keeps one
+        # child, so the batch is extended in place: every level's anchors are
+        # a view of the array the level before read.  The previous view is
+        # held while the next level is placed, so a copy could not reuse its
+        # buffer and look shared.
+        previous, shared, calls = None, 0, 0
+
+        def placed(anchors, *args):
+            nonlocal previous, shared, calls
+            shared += previous is not None and np.shares_memory(anchors, previous)
+            previous, calls = anchors, calls + 1
+            return extend_stack(anchors, *args)
+
+        monkeypatch.setattr("dgbp.solver.extend_stack", placed)
+        assert solve(deep_chain).solution_count == 2
+        # one copy, where vertex K+1 forks; each of the other n - K - 2 pairs shares
+        assert (calls, shared) == (deep_chain.n - 3, deep_chain.n - 5)
 
     def test_brute_force_independent_of_batch_cap(self, cap_instances, monkeypatch):
         default = [brute_force(inst) for inst in cap_instances]
