@@ -32,13 +32,11 @@ from .geometry import (
     reflect_stack,
 )
 from .instance import (
-    EdgeKind,
     Instance,
     ValidationReport,
     Violation,
     ViolationCode,
     counterexample,
-    edge_kind,
     edge_violations,
     parse_instance,
     random_instance,
@@ -70,4 +68,16 @@ from .symmetry import (
     verify_orbit,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AmbiguousSpectrum", "BudgetExceeded", "DegenerateSpan", "DgbpError", "DimensionMismatch",
+    "GenericityFailure", "InvalidInstance", "NegativeDeterminant", "NodeBudgetExceeded",
+    "NoSiblingBranch", "ParseError", "SubtreeNotFull",
+    "ExtensionStack", "cayley_menger_volume", "extend_stack", "level_table", "reflect_stack",
+    "Instance", "ValidationReport", "Violation", "ViolationCode", "counterexample",
+    "edge_violations", "parse_instance", "random_instance", "regular_simplex",
+    "serialize_instance", "stacked_edge_violations", "validate",
+    "SolveResult", "SolveStats", "SolverOptions", "brute_force", "parse_result",
+    "recompute_code", "recompute_codes", "serialize_result", "solve",
+    "ReflectionCheck", "SymmetryReport", "branch_levels", "branches_both_ways",
+    "distance_spectrum", "partial_reflection", "serialize_report", "suffix_flip", "verify_orbit",
+]

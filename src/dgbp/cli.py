@@ -7,8 +7,8 @@ the wall time; reruns of the same command are byte-identical except for the
 wall-time trailer.
 
 Exit codes: 0 success / orbit verified; 2 infeasible instance; 3 invalid
-input or usage error; 4 node budget exceeded; 5 degenerate instance flagged
-by analyze; 6 verification failure.
+input, usage error or out of memory; 4 node budget exceeded; 5 degenerate
+instance flagged by analyze; 6 verification failure.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .instance import (
     random_instance,
     serialize_instance,
     _size_report,
+    _utf8,
     stacked_edge_violations,
     validate,
 )
@@ -105,20 +106,6 @@ def write_output(path: str, manifest: RunManifest, body: str, started: float) ->
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
-
-
-def split_trailer(text: str):
-    """Split a written file into (deterministic region, sha hex, wall time)."""
-    lines = text.splitlines(keepends=True)
-    sha = wall = None
-    end = len(lines)
-    for i, line in enumerate(lines):
-        if line.startswith("# sha256: "):
-            sha = line.split(": ", 1)[1].strip()
-            end = i
-        elif line.startswith("# wall_time_s: "):
-            wall = float(line.split(": ", 1)[1])
-    return "".join(lines[:end]), sha, wall
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,7 +211,7 @@ def cmd_generate(args, command: str) -> int:
 
 
 def cmd_validate(args, command: str) -> int:
-    inst = parse_instance(_read(args.instance))
+    inst = parse_instance(_utf8(_read(args.instance)))
     report = validate(inst)
     if report.ok:
         _say(f"{args.instance}: valid (K={inst.dimension}, n={inst.n}, "
@@ -237,7 +224,7 @@ def cmd_validate(args, command: str) -> int:
 
 def cmd_solve(args, command: str) -> int:
     started = time.perf_counter()
-    inst = parse_instance(_read(args.instance))
+    inst = parse_instance(_utf8(_read(args.instance)))
     opts = SolverOptions(atol=args.atol, rtol=args.rtol, max_nodes=args.max_nodes)
     budget_hit = False
     try:
@@ -262,7 +249,7 @@ def cmd_solve(args, command: str) -> int:
 
 def cmd_analyze(args, command: str) -> int:
     started = time.perf_counter()
-    result = parse_result(_read(args.result, ascii_bytes=True))
+    result = parse_result(_read(args.result))
     if not result.solution_count:
         _say("nothing to analyze: result has no solutions")
         return EXIT_INVALID
@@ -281,8 +268,8 @@ def cmd_analyze(args, command: str) -> int:
 
 
 def cmd_verify(args, command: str) -> int:
-    inst = parse_instance(_read(args.instance))
-    result = parse_result(_read(args.result, ascii_bytes=True))
+    inst = parse_instance(_utf8(_read(args.instance)))
+    result = parse_result(_read(args.result))
     _, n, K = result.solutions.shape
     if (n, K) != (inst.n, inst.dimension):
         _say(f"result is for n={n}, K={K}; instance has n={inst.n}, K={inst.dimension}")
@@ -339,20 +326,13 @@ class _FileError(Exception):
         super().__init__(f"cannot {verb} {path}: {exc.strerror or exc}")
 
 
-def _read(path: str, ascii_bytes: bool = False):
-    """The text of the file at ``path``; with ``ascii_bytes``, an ASCII file's bytes."""
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise _FileError("read", path, exc) from exc
-    if ascii_bytes and data.isascii():
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 def _write(path: str, manifest: RunManifest, body: str, started: float) -> None:
@@ -389,6 +369,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except DgbpError as exc:
         _say(f"error: {exc}")
+        return EXIT_INVALID
+    except MemoryError as exc:
+        _say(f"out of memory: {exc}" if str(exc) else "out of memory")
         return EXIT_INVALID
 
 

@@ -30,11 +30,6 @@ from .geometry import _flat, _gram, level_table, row_dots
 GENERICITY_MIN_VOLUME = 1e-6
 
 
-class EdgeKind(Enum):
-    DISCRETIZATION = "discretization"
-    PRUNING = "pruning"
-
-
 @dataclass(frozen=True)
 class Instance:
     """A K-dimensional instance with vertices 1..n in rank order.
@@ -58,13 +53,6 @@ class Instance:
         object.__setattr__(self, "edges", types.MappingProxyType(normalised))
         emb = tuple(tuple(float(c) for c in row) for row in self.initial_embedding)
         object.__setattr__(self, "initial_embedding", emb)
-
-    def window(self, v: int) -> range:
-        """Ranks of the K immediate predecessors of vertex ``v``."""
-        return range(v - self.dimension, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
 
     def predecessors(self, v: int) -> list[int]:
         """Adjacent predecessors of ``v`` in rank order."""
@@ -122,13 +110,6 @@ class Instance:
         return np.asarray(self.initial_embedding, dtype=float)
 
 
-def edge_kind(inst: Instance, u: int, v: int) -> EdgeKind:
-    """Window edges discretize the search; longer edges only prune."""
-    if not inst.has_edge(u, v):
-        raise KeyError(f"no edge {{{u}, {v}}}")
-    return EdgeKind.DISCRETIZATION if abs(u - v) <= inst.dimension else EdgeKind.PRUNING
-
-
 class ViolationCode(Enum):
     NONPOSITIVE_DISTANCE = "NonpositiveDistance"
     MISSING_WINDOW_EDGE = "MissingWindowEdge"
@@ -152,9 +133,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def codes(self) -> set:
-        return {v.code for v in self.violations}
 
     def summary(self) -> str:
         if self.ok:
@@ -404,6 +382,15 @@ def serialize_instance(inst: Instance) -> str:
     for (u, v), d in sorted(inst.edges.items()):
         lines.append(f"{u} {v} {_fmt(d)}")
     return "\n".join(lines) + "\n"
+
+
+def _utf8(data: bytes) -> str:
+    """The UTF-8 text of a file's bytes, or a ParseError naming the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 def parse_instance(text: str) -> Instance:

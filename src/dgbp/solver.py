@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import _EMPTY, _TANGENT, EPS_NORMAL, _anchor_planes, extend_stack, row_dots
-from .instance import Instance, stacked_edge_violations, validate
+from .instance import Instance, _utf8, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
 
@@ -443,9 +443,10 @@ def parse_result(text: str | bytes) -> SolveResult:
     (``_read_bulk``).  Other text, decoded as UTF-8 when given as bytes, is
     split into lines and its block read line by line
     (``_read_solution_lines``), as is plain text whose bulk read fails a
-    check, to name the line of the error.  A malformed field or histogram
-    row, a size no array can hold, a code whose length is not n and a
-    coordinate that is not a finite number raise a line-numbered ParseError.
+    check, to name the line of the error.  Bytes that are not UTF-8, a
+    malformed field or histogram row, a size no array can hold, a code whose
+    length is not n and a coordinate that is not a finite number raise a
+    line-numbered ParseError.
     """
     data = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
     index = _line_index(data) if isinstance(data, bytes) else None
@@ -455,7 +456,7 @@ def parse_result(text: str | bytes) -> SolveResult:
         read = _read_bulk(data, *index, start, K, n, count)
         if read is not None:
             return SolveResult(None, *read, stats)
-    lines = (text if isinstance(text, str) else text.decode("utf-8")).splitlines()
+    lines = (text if isinstance(text, str) else _utf8(text)).splitlines()
     if index is None:
         K, n, count, stats, start = _read_header(lines)
     return SolveResult(None, *_read_solution_lines(lines, start, K, n, count), stats)

@@ -44,15 +44,19 @@ def branch_levels(result) -> frozenset:
     reach a feasible leaf.  Levels where some prefixes split and others do
     not (possible only on degenerate instances) are excluded.  ``result``
     may also be a list of equal-length codes or an (S, n) code matrix.
-
-    With the distinct codes sorted, the codes sharing their first i-1 bits
-    form a run, which splits at level i iff its first code has bit 0 there
-    and its last code bit 1.
     """
     codes = getattr(result, "branch_codes", result)
     if len(codes) == 0:
         return frozenset()
-    sorted_codes = _distinct_sorted(codes)
+    return _split_levels(_distinct_sorted(codes))
+
+
+def _split_levels(sorted_codes: np.ndarray) -> frozenset:
+    """:func:`branch_levels` of the distinct codes, given as :func:`_distinct_sorted` gives them.
+
+    The codes sharing their first i-1 bits form a run, which splits at
+    level i iff its first code has bit 0 there and its last code bit 1.
+    """
     n = sorted_codes.shape[1]
     # Column where each code first differs from the one before; a run of
     # length-c prefixes starts at a row whose column is < c (row 0 always)
@@ -178,7 +182,7 @@ def verify_orbit(result) -> SymmetryReport:
         raise ValueError("orbit verification needs at least one solution")
     distinct = _distinct_sorted(codes)
     n = distinct.shape[1]
-    levels = branch_levels(distinct)
+    levels = _split_levels(distinct)
     group_order = 2 ** len(levels)
     moves = np.diff(distinct ^ distinct[0], axis=1, prepend=0) != 0
     fixed = np.ones(n, dtype=bool)

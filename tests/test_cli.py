@@ -1,13 +1,17 @@
 import errno
 import hashlib
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import fixture_path
-from dgbp.cli import _plot_table, main, split_trailer
+from dgbp.cli import _plot_table, main
 from dgbp.errors import ParseError
 from dgbp.instance import Instance, parse_instance, random_instance, serialize_instance
 from dgbp.solver import parse_result, solve
@@ -16,6 +20,20 @@ from writer import plot_table_by_row
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def split_trailer(text: str):
+    """Split a written file into (deterministic region, sha hex, wall time)."""
+    lines = text.splitlines(keepends=True)
+    sha = wall = None
+    end = len(lines)
+    for i, line in enumerate(lines):
+        if line.startswith("# sha256: "):
+            sha = line.split(": ", 1)[1].strip()
+            end = i
+        elif line.startswith("# wall_time_s: "):
+            wall = float(line.split(": ", 1)[1])
+    return "".join(lines[:end]), sha, wall
 
 
 def region_of(path):
@@ -612,6 +630,25 @@ class TestFileErrors:
         path.write_bytes(b"format: dgp-instance 1\ndimension: 2\nn: \xff5\n")
         rc, err = self.run(capsys, [cmd, str(path)])
         assert (rc, err) == (3, "parse error: line 3: not UTF-8 text (byte 0xff)\n")
+
+
+class TestOutOfMemory:
+    """An allocation beyond the address space is exit 3 with one line, not a traceback."""
+
+    def test_generate_beyond_address_space(self, tmp_path):
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgbp.cli", "generate", "--random", "--k", "3",
+             "--n", "3000000000", "--out", "g.txt"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "g.txt").exists()
 
 
 class TestPipelineClosure:

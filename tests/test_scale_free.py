@@ -122,7 +122,7 @@ def test_tiny_window_under_long_radii_is_degenerate(s):
     """A 1e-9 segment cannot place a vertex 0.5 away, at any scale."""
     inst = complete(np.array([[0.0, 0.0], [1e-9, 0.0], [5e-10, 0.5]]) * s, 2)
     report = validate(inst)
-    assert report.codes() == {ViolationCode.DEGENERATE_SIMPLEX}
+    assert {v.code for v in report.violations} == {ViolationCode.DEGENERATE_SIMPLEX}
     assert report.violations[0].vertex == 3
 
 

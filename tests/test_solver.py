@@ -396,6 +396,16 @@ class TestResultSerialization:
             parse_result("\n".join(lines))
         assert err.value.line == at + 1
 
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"format: dgp-result 1\n\xff\n", 2, "0xff"),
+        (b"format: dgp-result 1\ndimension: 2\nn: 5\xc3\n", 3, "0xc3"),
+    ], ids=["invalid-start", "truncated"])
+    def test_bytes_not_utf8_rejected_with_line(self, data, line, byte):
+        with pytest.raises(ParseError) as err:
+            parse_result(data)
+        assert (str(err.value), err.value.line) == (
+            f"line {line}: not UTF-8 text (byte {byte})", line)
+
     def test_infeasible_status(self, corpus):
         inst = corpus["random_03"]
         pruning = [(u, v) for (u, v) in inst.edges if v - u > inst.dimension]
