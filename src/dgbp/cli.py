@@ -33,7 +33,6 @@ from .instance import (
     random_instance,
     serialize_instance,
     _size_report,
-    _utf8,
     stacked_edge_violations,
     validate,
 )
@@ -211,7 +210,7 @@ def cmd_generate(args, command: str) -> int:
 
 
 def cmd_validate(args, command: str) -> int:
-    inst = parse_instance(_utf8(_read(args.instance)))
+    inst = parse_instance(_read(args.instance))
     report = validate(inst)
     if report.ok:
         _say(f"{args.instance}: valid (K={inst.dimension}, n={inst.n}, "
@@ -224,7 +223,7 @@ def cmd_validate(args, command: str) -> int:
 
 def cmd_solve(args, command: str) -> int:
     started = time.perf_counter()
-    inst = parse_instance(_utf8(_read(args.instance)))
+    inst = parse_instance(_read(args.instance))
     opts = SolverOptions(atol=args.atol, rtol=args.rtol, max_nodes=args.max_nodes)
     budget_hit = False
     try:
@@ -268,7 +267,7 @@ def cmd_analyze(args, command: str) -> int:
 
 
 def cmd_verify(args, command: str) -> int:
-    inst = parse_instance(_utf8(_read(args.instance)))
+    inst = parse_instance(_read(args.instance))
     result = parse_result(_read(args.result))
     _, n, K = result.solutions.shape
     if (n, K) != (inst.n, inst.dimension):

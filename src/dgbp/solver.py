@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import _EMPTY, _TANGENT, EPS_NORMAL, _anchor_planes, extend_stack, row_dots
-from .instance import Instance, _utf8, stacked_edge_violations, validate
+from .instance import Instance, _line_index, _utf8, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
 
@@ -404,12 +404,17 @@ def _row_texts(stack: np.ndarray, sep: str) -> np.ndarray:
     values = stack[fresh].ravel().tolist()
     template = "\n".join([sep.join(["%.17g"] * K)] * (len(values) // K))
     texts = np.array((template % tuple(values)).split("\n"), dtype=object)
-    # Fresh rows are numbered in row-major order, so the string of row
-    # (s, j) is the one of the last solution up to s that changed row j:
-    # a running max down each column.
+    return texts[_last_fresh(fresh)]
+
+
+def _last_fresh(fresh: np.ndarray) -> np.ndarray:
+    """For each (s, j) of an (S, n) mask, the row-major number of the last fresh (s', j), s' <= s.
+
+    A running max down each column of the fresh entries' numbers.
+    """
     source = np.where(fresh, np.cumsum(fresh).reshape(fresh.shape) - 1, 0)
     np.maximum.accumulate(source, axis=0, out=source)
-    return texts[source]
+    return source
 
 
 #: ``bytes.translate`` turns the 0/1 bits of branch codes into digits.
@@ -435,71 +440,24 @@ _MAX_ROW_VALUES = np.iinfo(np.intp).max // 8
 def parse_result(text: str | bytes) -> SolveResult:
     """Parse :func:`serialize_result` output, as ``str`` or ``bytes`` (the instance is None).
 
-    Blank lines and ``#`` comment lines may stand anywhere, and fields are
-    separated by any run of whitespace.  Plain text (printable ASCII and
-    tabs, lines ended by LF or CRLF) is read from one index of its line
-    bounds (``_line_index``): the header line by line up to the
-    ``solutions:`` line (``_read_header``), then the solution block in bulk
-    (``_read_bulk``).  Other text, decoded as UTF-8 when given as bytes, is
-    split into lines and its block read line by line
-    (``_read_solution_lines``), as is plain text whose bulk read fails a
-    check, to name the line of the error.  Bytes that are not UTF-8, a
-    malformed field or histogram row, a size no array can hold, a code whose
-    length is not n and a coordinate that is not a finite number raise a
-    line-numbered ParseError.
+    The lines are those of ``instance._line_index``; blank lines and ``#``
+    comment lines may stand anywhere.  The header is read line by line up to
+    the ``solutions:`` line (``_read_header``), then the solution block in
+    bulk (``_read_bulk``); a block that fails a bulk check is read line by
+    line (``_read_solution_lines``) to name the line of the error.  Text
+    that is not UTF-8, a malformed field or histogram row, a size no array
+    can hold, a code whose length is not n and a coordinate that is not a
+    finite number raise a line-numbered ParseError.
     """
-    data = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
-    index = _line_index(data) if isinstance(data, bytes) else None
-    if index is not None:
-        K, n, count, stats, start = _read_header(
-            data[begin:end].decode("ascii") for begin, end in zip(*index))
-        read = _read_bulk(data, *index, start, K, n, count)
-        if read is not None:
-            return SolveResult(None, *read, stats)
-    lines = (text if isinstance(text, str) else _utf8(text)).splitlines()
-    if index is None:
-        K, n, count, stats, start = _read_header(lines)
-    return SolveResult(None, *_read_solution_lines(lines, start, K, n, count), stats)
-
-
-def _line_index(data: bytes):
-    """``(starts, ends)``, the byte bounds of every stripped line of plain text, or None.
-
-    Plain text is printable ASCII and tabs, in lines ended by LF or CRLF.
-    Only there do ``split(b"\\n")``, ``bytes.split`` and ``bytes.strip``
-    cut as ``str.splitlines``, ``str.split`` and ``str.strip`` cut the
-    decoded text: a lone CR or ``\\x0b`` ends a ``str`` line, and
-    ``\\x1c``..``\\x1f`` are ``str`` whitespace.  The lines are those of
-    ``str.splitlines``, each without its line end and its leading and
-    trailing blanks.  The rare line that starts or ends with a blank is
-    stripped on its own.
-    """
-    if not data.isascii() or b"\x7f" in data:
-        return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    control = np.flatnonzero(b < 32)
-    kind = b[control]
-    ends, cr = control[kind == 10], control[kind == 13]
-    if len(ends) + len(cr) + np.count_nonzero(kind == 9) != len(control):
-        return None
-    if len(cr) and (cr[-1] + 1 == len(b) or (b[cr + 1] != 10).any()):
-        return None
-    if data[-1:] not in (b"", b"\n"):  # a last line without a line end
-        ends = np.append(ends, len(b))
-    starts = np.empty_like(ends)
-    starts[:1], starts[1:] = 0, ends[:-1] + 1
-    ends[np.searchsorted(ends, cr)] -= 1  # each CR stands just before its LF
-    # An empty line reads its line end and the byte before: stripped, it stays empty.
-    for i in np.flatnonzero(_blank(b[starts]) | _blank(b[ends - 1])).tolist():
-        line = data[starts[i] : ends[i]]
-        starts[i] += len(line) - len(line.lstrip())
-        ends[i] = starts[i] + len(line.strip())
-    return starts, ends
-
-
-def _blank(chars: np.ndarray) -> np.ndarray:
-    """Which of the bytes ``chars`` are a space or a tab."""
-    return (chars == ord(" ")) | (chars == ord("\t"))
+    data = _utf8(text)
+    starts, ends = _line_index(data)
+    K, n, count, stats, start = _read_header(
+        data[begin:end].decode() for begin, end in zip(starts, ends))
+    read = _read_bulk(data, starts, ends, start, K, n, count)
+    if read is None:
+        lines = [data[begin:end] for begin, end in zip(starts.tolist(), ends.tolist())]
+        read = _read_solution_lines(lines, start, K, n, count)
+    return SolveResult(None, *read, stats)
 
 
 def _read_header(lines) -> tuple:
@@ -568,26 +526,26 @@ def _read_header(lines) -> tuple:
 def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
     """The solution block ``lines[start:]`` read line by line: ``(stack, codes)``.
 
-    The grammar ``_read_bulk`` checks in bulk, applied one line at a
-    time so that each error names its line: a ``code`` line of n 0/1 digits
-    starts a solution, and every other line that is not blank or a comment
-    is one coordinate row of K numbers.  Once the block is read, the header
-    must have given K, n and the count, the count and every solution's rows
-    must match, and the first non-finite coordinate is reported.
+    The grammar ``_read_bulk`` checks in bulk, applied to the byte lines of
+    the line index one at a time, so that each error names its line: a
+    ``code`` line of n 0/1 digits starts a solution, and every other line
+    that is not blank or a comment is one coordinate row of K numbers.  Once
+    the block is read, the header must have given K, n and the count, the
+    count and every solution's rows must match, and the first non-finite
+    coordinate is reported.
     """
     codes, sizes, rows = [], [], []
     nonfinite = None
-    for lineno, raw in enumerate(lines[start:], start + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(lines[start:], start + 1):
+        if not line or line.startswith(b"#"):
             continue
-        if line.startswith("code "):
+        if line.startswith(b"code "):
             bits = line[5:].strip()
-            if not bits or set(bits) - {"0", "1"}:
-                raise ParseError(f"bad code {bits!r}", lineno)
+            if not bits or bits.strip(b"01"):
+                raise ParseError(f"bad code {bits.decode()!r}", lineno)
             if n is None or len(bits) != n:
                 raise ParseError(f"code of length {len(bits)}, expected n = {n}", lineno)
-            codes.append(tuple(map(int, bits)))
+            codes.append(tuple(map(int, bits.decode())))
             sizes.append(0)
             continue
         if not sizes:
@@ -598,7 +556,7 @@ def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
         try:
             row = [float(p) for p in parts]
         except ValueError:
-            raise ParseError(f"bad coordinate in {line!r}", lineno) from None
+            raise ParseError(f"bad coordinate in {line.decode()!r}", lineno) from None
         if nonfinite is None and not all(map(math.isfinite, row)):
             nonfinite = lineno
         rows.append(row)
@@ -617,7 +575,7 @@ def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
 
 
 def _read_bulk(data: bytes, starts, ends, first: int, K, n, count):
-    """The solution block of plain text, lines ``first:`` of its line index, or None.
+    """The solution block, lines ``first:`` of the text's line index, or None.
 
     Returns ``(stack, codes)`` when the block passes every check, and None,
     leaving the error to ``_read_solution_lines``, when any fails.  Once
@@ -635,7 +593,7 @@ def _read_bulk(data: bytes, starts, ends, first: int, K, n, count):
     once those are dropped: the float conversion of the rest checks that.
     Python's ``float`` reads the tokens, so the values are those of
     ``_read_solution_lines``.  Each row is then gathered from the last
-    solution up to it that read it.
+    solution up to it that read it (``_last_fresh``).
     """
     if K is None or n is None or count is None:
         return None
@@ -682,6 +640,4 @@ def _read_bulk(data: bytes, starts, ends, first: int, K, n, count):
         return None
     if not np.isfinite(values).all():
         return None
-    source = np.where(fresh, np.cumsum(fresh).reshape(fresh.shape) - 1, 0)
-    np.maximum.accumulate(source, axis=0, out=source)
-    return values.reshape(-1, K)[source], list(zip(*bits.T.tolist()))
+    return values.reshape(-1, K)[_last_fresh(fresh)], list(zip(*bits.T.tolist()))

@@ -2,22 +2,43 @@
 
 ``parse_result_by_line`` applies the result grammar one line at a time to
 the whole file, header and solution block alike, and names the line of
-every error it finds.  It is slow on large results, but easy to trust.
+every error it finds.  It reads the package's line model on its own terms
+(``split_lines``): the text is bytes, a ``str`` taken as its UTF-8
+encoding; lines split at LF, CRLF or CR and are stripped of ASCII
+whitespace.  Header lines are decoded; block rows are split on ASCII
+whitespace and their numbers read from bytes.  It is slow on large
+results, but easy to trust.
 """
 
 import itertools
+import re
 
 import numpy as np
 
 from dgbp.errors import ParseError
 from dgbp.solver import SolveResult, SolveStats
 
+LINE_END = re.compile(rb"\r\n|\r|\n")
 
-def parse_result_by_line(text: str) -> SolveResult:
-    """``parse_result`` by the line loop alone."""
+
+def split_lines(data: bytes) -> list:
+    """The stripped lines of ``data``: cut at every LF, CRLF or CR, none after the last end."""
+    lines = [line.strip() for line in LINE_END.split(data)]
+    return lines[:-1] if data[-1:] in (b"", b"\n", b"\r") else lines
+
+
+def parse_result_by_line(text) -> SolveResult:
+    """``parse_result`` by the line loop alone, from ``str`` or ``bytes``."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(LINE_END.split(data[: exc.start]))
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from None
     reader = _LineReader()
-    reader.read(text.splitlines(), 0)
-    return reader.result(text)
+    lines = split_lines(data)
+    reader.read(lines)
+    return reader.result(lines)
 
 
 _INT_FIELDS = frozenset({
@@ -38,35 +59,22 @@ class _LineReader:
         self.code_lines: list = []
         self.current: list | None = None
 
-    def read(self, lines: list, start: int, until_solutions: bool = False) -> int:
-        """Feed ``lines[start:]``, skipping blank and comment lines.
-
-        With ``until_solutions``, stops after the ``solutions:`` line and
-        returns its index plus one; otherwise returns ``len(lines)``.
-        """
-        for lineno, raw in enumerate(itertools.islice(lines, start, None), start + 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    def read(self, lines: list) -> None:
+        """Feed the stripped byte lines of a file, skipping blank and comment lines."""
+        for lineno, line in enumerate(lines, 1):
+            if not line or line.startswith(b"#"):
                 continue
-            self.feed(line, lineno)
-            if until_solutions and self.mode == "solutions":
-                return lineno
-        return len(lines)
+            if self.mode == "solutions":
+                self.row(line, lineno)
+                continue
+            text = line.decode().strip()  # a header line is read as text
+            if text and not text.startswith("#"):
+                self.feed(text, lineno)
 
     def feed(self, line: str, lineno: int) -> None:
         if line.startswith("code "):
-            if self.mode != "solutions":
-                raise ParseError("'code' line outside solutions block", lineno)
-            bits = line[5:].strip()
-            if not bits or set(bits) - {"0", "1"}:
-                raise ParseError(f"bad code {bits!r}", lineno)
-            if self.n is None or len(bits) != self.n:
-                raise ParseError(f"code of length {len(bits)}, expected n = {self.n}", lineno)
-            self.codes.append(tuple(int(b) for b in bits))
-            self.code_lines.append(lineno)
-            self.current = []
-            self.solutions.append(self.current)
-        elif ":" in line and self.mode != "solutions":
+            raise ParseError("'code' line outside solutions block", lineno)
+        if ":" in line:
             key, _, rest = line.partition(":")
             self.field(key.strip(), rest.strip(), lineno)
         elif self.mode == "hist":
@@ -75,18 +83,31 @@ class _LineReader:
             except ValueError:
                 raise ParseError(f"bad histogram line {line!r}", lineno) from None
             self.stats.child_hist[lvl] = [c0, c1, c2]
-        elif self.mode == "solutions":
-            if self.current is None:
-                raise ParseError("coordinate row before any 'code' line", lineno)
-            parts = line.split()
-            if self.K is None or len(parts) != self.K:
-                raise ParseError(f"expected {self.K} coordinates, got {len(parts)}", lineno)
-            try:
-                self.current.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"bad coordinate in {line!r}", lineno) from None
         else:
             raise ParseError(f"unexpected line {line!r}", lineno)
+
+    def row(self, line: bytes, lineno: int) -> None:
+        """A line of the solution block: a ``code`` line or a coordinate row."""
+        if line.startswith(b"code "):
+            bits = line[5:].strip().decode()
+            if not bits or set(bits) - {"0", "1"}:
+                raise ParseError(f"bad code {bits!r}", lineno)
+            if self.n is None or len(bits) != self.n:
+                raise ParseError(f"code of length {len(bits)}, expected n = {self.n}", lineno)
+            self.codes.append(tuple(int(b) for b in bits))
+            self.code_lines.append(lineno)
+            self.current = []
+            self.solutions.append(self.current)
+            return
+        if self.current is None:
+            raise ParseError("coordinate row before any 'code' line", lineno)
+        parts = line.split()
+        if self.K is None or len(parts) != self.K:
+            raise ParseError(f"expected {self.K} coordinates, got {len(parts)}", lineno)
+        try:
+            self.current.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError(f"bad coordinate in {line.decode()!r}", lineno) from None
 
     def field(self, key: str, rest: str, lineno: int) -> None:
         if key == "format":
@@ -120,7 +141,7 @@ class _LineReader:
         else:
             raise ParseError(f"unknown field {key!r}", lineno)
 
-    def result(self, text: str) -> SolveResult:
+    def result(self, lines: list) -> SolveResult:
         K, n, count, solutions = self.K, self.n, self.count, self.solutions
         if K is None or n is None or count is None:
             raise ParseError("missing required result fields")
@@ -134,16 +155,16 @@ class _LineReader:
         if not np.isfinite(stack).all():
             index, row = np.argwhere(~np.isfinite(stack).all(-1))[0].tolist()
             raise ParseError("non-finite coordinate",
-                             _row_line(text, self.code_lines[index], row))
+                             _row_line(lines, self.code_lines[index], row))
         return SolveResult(None, stack, self.codes, self.stats)
 
 
-def _row_line(text: str, code_line: int, row: int) -> int:
+def _row_line(lines: list, code_line: int, row: int) -> int:
     """Line number of coordinate row ``row`` of the solution coded on ``code_line``.
 
     As in :func:`parse_result`, every line after a code line that is not
     blank or a comment is a coordinate row of that solution.
     """
-    rows = (lineno for lineno, raw in enumerate(text.splitlines()[code_line:], code_line + 1)
-            if raw.strip() and not raw.strip().startswith("#"))
+    rows = (lineno for lineno, line in enumerate(lines[code_line:], code_line + 1)
+            if line and not line.startswith(b"#"))
     return next(itertools.islice(rows, row, None))

@@ -253,6 +253,31 @@ class TestAnalyze:
                             if not line.startswith("#")])
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("name, status", [("counterexample_k2", 5), ("random_09", 0)])
+    def test_non_ascii_path_reads_in_bulk(self, tmp_path, monkeypatch, capsys, name, status):
+        # a manifest that names a non-ASCII path is ordinary text: analyze and
+        # verify give the ASCII run's report and exits, read in bulk alone
+        def line_loop(*args):
+            raise AssertionError("the result was read line by line")
+
+        outcomes = []
+        for stem in ("ascii", "donn\u00e9es"):
+            inst = tmp_path / f"{stem}.txt"
+            inst.write_bytes(fixture_path(name).read_bytes())
+            assert main(["solve", str(inst)]) == 0
+            res = tmp_path / f"{stem}.result.txt"
+            assert f"# manifest input: {inst}\n" in read(res)
+            with monkeypatch.context() as patch:
+                patch.setattr("dgbp.solver._read_solution_lines", line_loop)
+                capsys.readouterr()
+                codes = (main(["analyze", str(res)]),
+                         main(["verify", str(inst), str(res), "--oracle"]))
+            report = [line for line in read(tmp_path / f"{stem}.result.symmetry.txt")
+                      .splitlines() if not line.startswith("#")]
+            outcomes.append((codes, report, capsys.readouterr().err.splitlines()[1:]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (status, 0) and outcomes[0][2] == ["verification passed"]
+
     def test_infeasible_result_exit_3(self, tmp_path):
         text = read(fixture_path("random_03"))
         inst = parse_instance(text)
@@ -423,8 +448,9 @@ class TestMalformedResult:
 
 
 #: What a mutation may put into a file: digits, signs, separators, markers,
-#: letters of field names and of nan/inf, and one character beyond ASCII.
-MUTATION_ALPHABET = "0123456789.-+e :#\n\tnaifx\u00e9"
+#: letters of field names and of nan/inf, line ends and blanks that only
+#: some readers take as such, and characters beyond ASCII.
+MUTATION_ALPHABET = "0123456789.-+e :#\n\r\t\x0bnaifx\u00e9\x85\u00a0\u2028"
 
 #: Every exit code the CLI documents.
 EXIT_CODES = {0, 2, 3, 4, 5, 6}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import CHAIN_PARAMS, RANDOM_PARAMS, fixture_path
 from dgbp.errors import InvalidInstance, ParseError
@@ -9,6 +10,7 @@ from dgbp.instance import (
     Instance,
     Violation,
     ViolationCode,
+    _line_index,
     counterexample,
     edge_violations,
     parse_instance,
@@ -19,6 +21,7 @@ from dgbp.instance import (
     validate,
 )
 from dgbp.solver import solve
+from reader import split_lines
 from validator import validate_by_vertex
 
 
@@ -421,6 +424,57 @@ class TestSerialization:
         inst = counterexample(1)
         text = "# header\n\n" + serialize_instance(inst)
         assert parse_instance(text) == inst
+
+
+class TestLineModel:
+    """parse_instance reads bytes and str through the one line index."""
+
+    @given(data=st.lists(st.sampled_from(
+        [b"a", b"1", b"#", b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0b", b"\x0c", b"\x1c",
+         b"\x1f", b"\x00", b"\xc2\x85", b"\xc2\xa0", b"\xe2\x80\xa8"]), max_size=24))
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_line_index_matches_reference(self, data):
+        data = b"".join(data)
+        assert [data[i:j] for i, j in zip(*_line_index(data))] == split_lines(data)
+
+    @pytest.mark.parametrize("layout", ["as-is", "crlf", "cr", "non-ascii-comment"])
+    def test_bytes_read_as_str(self, corpus, layout):
+        for name in corpus:
+            text = fixture_path(name).read_text(encoding="utf-8")
+            if layout == "non-ascii-comment":
+                text = "# donn\u00e9es \u2028 \x85 \u00a0\n" + text.replace(
+                    "edges:\n", "edges:\n# caf\u00e9\n")
+            else:
+                text = text.replace("\n", {"as-is": "\n", "crlf": "\r\n", "cr": "\r"}[layout])
+            assert parse_instance(text.encode()) == parse_instance(text) == corpus[name], name
+
+    def test_non_utf8_rejected_with_line(self):
+        # the library gives the error the CLI prints for the same bytes
+        with pytest.raises(ParseError) as err:
+            parse_instance(b"format: dgp-instance 1\ndimension: 2\nn: \xff5\n")
+        assert (str(err.value), err.value.line) == ("line 3: not UTF-8 text (byte 0xff)", 3)
+
+    def test_lone_surrogate_rejected_with_line(self):
+        text = serialize_instance(counterexample(1)).replace("edges:\n", "edges:\n# \udcff\n")
+        line = text.splitlines().index("# \udcff") + 1
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (
+            f"line {line}: not UTF-8 text (byte 0xed)", line)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1 2\u00a01", "edge line needs 'u v d', got {!r}".format("1 2\u00a01")),
+        ("1 2 1\x1f", "bad distance {!r}".format("1\x1f")),
+        ("1\x0b2\x0c1", None),
+    ], ids=["nbsp-inside", "unit-separator-end", "vt-ff-separate"])
+    def test_block_fields_split_on_ascii_whitespace(self, row, message):
+        text = "dimension: 1\nn: 2\ninitial_embedding:\n0\nedges:\n" + row + "\n"
+        if message is None:
+            assert parse_instance(text).edges == {(1, 2): 1.0}
+            return
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (f"line 6: {message}", 6)
 
 
 class TestCorpusHealth:

@@ -17,6 +17,7 @@ from dgbp.errors import (
 from dgbp.cli import main
 from dgbp.instance import (
     Instance,
+    _line_index,
     counterexample,
     edge_violations,
     random_instance,
@@ -29,7 +30,6 @@ from dgbp.solver import (
     SolveResult,
     SolveStats,
     SolverOptions,
-    _line_index,
     _prefix_leaves,
     _read_bulk,
     _read_header,
@@ -43,7 +43,7 @@ from dgbp.solver import (
 )
 from dgbp.symmetry import verify_orbit
 from decoder import recompute_codes_by_level
-from reader import parse_result_by_line
+from reader import parse_result_by_line, split_lines
 from writer import serialize_result_by_solution
 
 
@@ -350,9 +350,10 @@ class TestSolutionShape:
             text = serialize_result(result)
             for parse in (parse_result, parse_result_by_line):
                 self.check(parse(text).solutions, n, K, S)
-            # the line loop the bulk read falls back to sizes its stack too
-            lines = text.splitlines()
-            *sizes, _, start = _read_header(lines)
+            # the line loop that names a bulk read's error sizes its stack too
+            data = text.encode()
+            lines = [data[i:j] for i, j in zip(*_line_index(data))]
+            *sizes, _, start = _read_header(line.decode() for line in lines)
             self.check(_read_solution_lines(lines, start, *sizes)[0], n, K, S)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
@@ -413,6 +414,12 @@ class TestResultSerialization:
         edges[pruning[0]] += 1.0
         result = solve(Instance(inst.dimension, inst.n, edges, inst.initial_embedding))
         assert "status: infeasible" in serialize_result(result)
+
+
+#: Characters on which the line model and Python's ``str`` split or strip
+#: differently: ``str`` takes every one as whitespace, and ends a line at
+#: each but U+001F and U+00A0.
+BEYOND_PLAIN = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u00a0\u2028\u2029"
 
 
 #: Coordinates whose bits differ while their text may not: signed zeros,
@@ -497,10 +504,9 @@ def small_results():
 
 
 def bulk_read(text: str):
-    """What ``parse_result``'s bulk path makes of plain text: ``(stack, codes)`` or None."""
-    data = text.encode("ascii")
+    """What ``parse_result``'s bulk read makes of a text: ``(stack, codes)`` or None."""
+    data = text.encode()
     index = _line_index(data)
-    assert index is not None, "not plain text"
     K, n, count, _, start = _read_header(data[a:b].decode() for a, b in zip(*index))
     return _read_bulk(data, *index, start, K, n, count)
 
@@ -743,21 +749,27 @@ class TestBulkRead:
     @given(data=st.data())
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_bytes_read_as_str(self, small_results, data):
-        # a result given as bytes parses as its text, plain or not
+        # a result given as bytes parses as its text, whatever characters it holds
         lines = data.draw(st.sampled_from(small_results)).splitlines()
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(lines)))
             lines.insert(at, data.draw(st.sampled_from(["", "# note", "# caf\u00e9", "x"])))
         text = data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
-        assert outcome(parse_result, text.encode()) == outcome(parse_result, text)
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(BEYOND_PLAIN)) + text[at:]
+        want = outcome(parse_result_by_line, text)
+        assert outcome(parse_result, text.encode()) == outcome(parse_result, text) == want
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1f", "\r", "\x85",
                                       "\u00a0", "\u2028", "\x7f", "\x00"])
     @pytest.mark.parametrize("where", ["row-inside", "row-end", "code-end", "header",
                                        "comment"])
     def test_text_beyond_plain(self, small_results, char, where):
-        # characters on which bytes and str split or strip differently: such
-        # text takes the line loop, as str and as bytes, with its outcome
+        # characters on which bytes and str split or strip differently: only
+        # LF, CRLF and CR end a line, and only ASCII whitespace separates
+        # block fields, so the str read, the bytes read and the reference
+        # agree, and the outcome is the one the line model gives
         lines = small_results[4].splitlines()
         row = lines.index("solutions:") + 3
         if where == "row-inside":
@@ -774,16 +786,38 @@ class TestBulkRead:
         want = outcome(parse_result_by_line, text)
         assert outcome(parse_result, text) == want
         assert outcome(parse_result, text.encode()) == want
-        assert _line_index(text.encode()) is None
+        data = text.encode()
+        assert [data[i:j] for i, j in zip(*_line_index(data))] == split_lines(data)
+        # ASCII whitespace is a separator; a CR ends the line, which leaves a
+        # stray row inside a comment; a header line is stripped as text
+        reads = (char in "\x0b\x0c" or where == "comment" and char != "\r"
+                 or where in ("row-end", "code-end") and char == "\r"
+                 or where == "header" and char not in "\x7f\x00")
+        assert want[0] == ("ok" if reads else "error")
 
-    @pytest.mark.parametrize("layout", ["crlf", "tabs", "spaces", "trailing", "leading",
-                                        "blank", "comment", "code-spaces"])
+    def test_lone_surrogate_rejected_with_line(self, small_results):
+        # a str that no UTF-8 encodes is the line-numbered error of bytes that are not UTF-8
+        lines = small_results[4].splitlines()
+        lines.insert(2, "# \ud800 note")
+        text = "\n".join(lines)
+        for parse in (parse_result, parse_result_by_line):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (str(err.value), err.value.line) == (
+                "line 3: not UTF-8 text (byte 0xed)", 3)
+
+    @pytest.mark.parametrize("layout", ["crlf", "cr", "tabs", "spaces", "vt-ff", "trailing",
+                                        "leading", "blank", "comment", "code-spaces",
+                                        "non-ascii-comment", "manifest"])
     def test_layouts_stay_bulk(self, tree_lines, layout):
         lines = list(tree_lines)
         body = lines.index("solutions:") + 1
+        if layout == "manifest":
+            lines.insert(0, "# manifest command: dgbp solve donn\u00e9es.txt")
         for i in range(body, len(lines), 7):
-            if layout in ("tabs", "spaces") and not lines[i].startswith("code "):
-                lines[i] = lines[i].replace(" ", "\t" if layout == "tabs" else "   ")
+            if layout in ("tabs", "spaces", "vt-ff") and not lines[i].startswith("code "):
+                lines[i] = lines[i].replace(" ", {"tabs": "\t", "spaces": "   ",
+                                                  "vt-ff": "\x0b \x0c"}[layout])
             elif layout == "trailing":
                 lines[i] += " \t"
             elif layout == "leading":
@@ -792,9 +826,11 @@ class TestBulkRead:
                 lines[i] += "\n\n \t"
             elif layout == "comment":
                 lines[i] += "\n# note"
+            elif layout == "non-ascii-comment":
+                lines[i] += "\n# caf\u00e9 \u2028 \x85 \u00a0"
             elif layout == "code-spaces" and lines[i].startswith("code "):
                 lines[i] = "code  \t" + lines[i][5:]
-        text = ("\r\n" if layout == "crlf" else "\n").join(lines)
+        text = {"crlf": "\r\n", "cr": "\r"}.get(layout, "\n").join(lines)
         assert outcome(parse_result, text) == outcome(parse_result_by_line, text)
         stack, codes = bulk_read(text)
         result = parse_result("\n".join(tree_lines))
