@@ -283,7 +283,8 @@ def cmd_verify(args, command: str) -> int:
         for (u, v), res in bad:
             _say(f"solution {i}: edge {{{u}, {v}}} off by {res:.3e}")
         failures += len(bad)
-    if len(set(result.branch_codes)) != len(result.branch_codes):
+    codes = set(result.branch_codes)
+    if len(codes) != len(result.branch_codes):
         _say("duplicate branch codes in result")
         failures += 1
     if args.oracle:
@@ -293,9 +294,8 @@ def cmd_verify(args, command: str) -> int:
             _say("oracle comparison beyond the exhaustive budget")
             return EXIT_BUDGET
         oracle_codes = set(recompute_codes(inst, oracle))
-        if oracle_codes != set(result.branch_codes):
-            _say(f"oracle found {len(oracle_codes)} codes, result has "
-                 f"{len(set(result.branch_codes))}")
+        if oracle_codes != codes:
+            _say(f"oracle found {len(oracle_codes)} codes, result has {len(codes)}")
             failures += 1
     if failures:
         _say(f"verification FAILED ({failures} problem(s))")

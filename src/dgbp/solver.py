@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import _EMPTY, _TANGENT, EPS_NORMAL, _anchor_planes, extend_stack, row_dots
-from .instance import Instance, _line_index, _utf8, stacked_edge_violations, validate
+from .instance import Instance, _line_index, _records, _utf8, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
 
@@ -440,74 +440,70 @@ _MAX_ROW_VALUES = np.iinfo(np.intp).max // 8
 def parse_result(text: str | bytes) -> SolveResult:
     """Parse :func:`serialize_result` output, as ``str`` or ``bytes`` (the instance is None).
 
-    The lines are those of ``instance._line_index``; blank lines and ``#``
-    comment lines may stand anywhere.  The header is read line by line up to
-    the ``solutions:`` line (``_read_header``), then the solution block in
-    bulk (``_read_bulk``); a block that fails a bulk check is read line by
-    line (``_read_solution_lines``) to name the line of the error.  Text
-    that is not UTF-8, a malformed field or histogram row, a size no array
-    can hold, a code whose length is not n and a coordinate that is not a
-    finite number raise a line-numbered ParseError.
+    The lines are those of ``instance._records``, read as bytes.  The header
+    is read line by line up to the ``solutions:`` line (``_read_header``),
+    then the solution block in bulk (``_read_bulk``); a block that fails a
+    bulk check is read line by line from the records left
+    (``_read_solution_lines``) to name the line of the error.  Text that is
+    not UTF-8, a malformed field or histogram row, a size no array can hold,
+    a code whose length is not n and a coordinate that is not a finite
+    number raise a line-numbered ParseError.
     """
     data = _utf8(text)
     starts, ends = _line_index(data)
-    K, n, count, stats, start = _read_header(
-        data[begin:end].decode() for begin, end in zip(starts, ends))
+    records = _records(data, starts, ends)
+    K, n, count, stats, start = _read_header(records)
     read = _read_bulk(data, starts, ends, start, K, n, count)
     if read is None:
-        lines = [data[begin:end] for begin, end in zip(starts.tolist(), ends.tolist())]
-        read = _read_solution_lines(lines, start, K, n, count)
+        read = _read_solution_lines(records, K, n, count)
     return SolveResult(None, *read, stats)
 
 
-def _read_header(lines) -> tuple:
-    """The header of a result file, read from its lines up to the ``solutions:`` line.
+def _read_header(records) -> tuple:
+    """The header of a result file, read from its records up to the ``solutions:`` line.
 
-    ``lines`` may be any iterable of lines; none after ``solutions:`` is
-    taken.  Returns ``(K, n, count, stats, start)``: the ``dimension``,
-    ``n`` and ``solution_count`` fields (None where missing), the other
-    fields as SolveStats, and the index of the line after ``solutions:``
-    (the number of lines when there is none).  Blank and comment lines are
-    skipped; a ``:`` line is a field and, after ``child_hist:``, any other
-    line a histogram row.  A ``dimension`` or ``n`` below 1 is an error, so
-    every result has a shape, and so is one that makes n * K more than an
-    (S, n, K) float array can hold.
+    ``records`` yields ``(lineno, line)`` as ``instance._records`` does; none
+    after ``solutions:`` is taken.  Returns ``(K, n, count, stats, start)``:
+    the ``dimension``, ``n`` and ``solution_count`` fields (None where
+    missing), the other fields as SolveStats, and the index of the line
+    after ``solutions:`` (after the last record when there is none).  A
+    ``:`` line is a field and, after ``child_hist:``, any other line a
+    histogram row, read from bytes.  A ``dimension`` or ``n`` below 1 is an
+    error, so every result has a shape, and so is one that makes n * K more
+    than an (S, n, K) float array can hold.
     """
     stats = SolveStats()
     sizes = dict.fromkeys(("dimension", "n", "solution_count"))
     hist = False
     lineno = 0
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("code "):
+    for lineno, line in records:
+        if line.startswith(b"code "):
             raise ParseError("'code' line outside solutions block", lineno)
-        if ":" not in line:
+        if ord(":") not in line:
             if not hist:
-                raise ParseError(f"unexpected line {line!r}", lineno)
+                raise ParseError(f"unexpected line {line.decode()!r}", lineno)
             try:
                 lvl, c0, c1, c2 = map(int, line.split())  # ValueError unless 4 ints
             except ValueError:
-                raise ParseError(f"bad histogram line {line!r}", lineno) from None
+                raise ParseError(f"bad histogram line {line.decode()!r}", lineno) from None
             stats.child_hist[lvl] = [c0, c1, c2]
             continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
+        key, _, rest = line.partition(b":")
+        key, rest = key.strip().decode(), rest.strip()
         if key == "solutions":
             return *sizes.values(), stats, lineno
         if key == "format":
-            if not rest.startswith("dgp-result"):
-                raise ParseError(f"not a result file (format {rest!r})", lineno)
+            if not rest.startswith(b"dgp-result"):
+                raise ParseError(f"not a result file (format {rest.decode()!r})", lineno)
         elif key == "status":
-            stats.budget_exceeded = rest == "budget-exceeded"
+            stats.budget_exceeded = rest == b"budget-exceeded"
         elif key == "child_hist":
             hist = True
         elif key in _FIELD_TYPES:
             try:
                 value = _FIELD_TYPES[key](rest)
             except ValueError:
-                raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
+                raise ParseError(f"bad value {rest.decode()!r} for {key!r}", lineno) from None
             if key in ("dimension", "n"):
                 if value < 1:
                     raise ParseError(f"{key} must be >= 1, got {value}", lineno)
@@ -523,22 +519,19 @@ def _read_header(lines) -> tuple:
     return *sizes.values(), stats, lineno
 
 
-def _read_solution_lines(lines: list, start: int, K, n, count) -> tuple:
-    """The solution block ``lines[start:]`` read line by line: ``(stack, codes)``.
+def _read_solution_lines(records, K, n, count) -> tuple:
+    """The solution block read line by line from ``records``: ``(stack, codes)``.
 
-    The grammar ``_read_bulk`` checks in bulk, applied to the byte lines of
-    the line index one at a time, so that each error names its line: a
-    ``code`` line of n 0/1 digits starts a solution, and every other line
-    that is not blank or a comment is one coordinate row of K numbers.  Once
-    the block is read, the header must have given K, n and the count, the
-    count and every solution's rows must match, and the first non-finite
-    coordinate is reported.
+    The grammar ``_read_bulk`` checks in bulk, applied to the records left
+    after the header one at a time, so that each error names its line: a
+    ``code`` line of n 0/1 digits starts a solution, and every other record
+    is one coordinate row of K numbers.  Once the block is read, the header
+    must have given K, n and the count, the count and every solution's rows
+    must match, and the first non-finite coordinate is reported.
     """
     codes, sizes, rows = [], [], []
     nonfinite = None
-    for lineno, line in enumerate(lines[start:], start + 1):
-        if not line or line.startswith(b"#"):
-            continue
+    for lineno, line in records:
         if line.startswith(b"code "):
             bits = line[5:].strip()
             if not bits or bits.strip(b"01"):

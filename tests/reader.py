@@ -5,9 +5,10 @@ the whole file, header and solution block alike, and names the line of
 every error it finds.  It reads the package's line model on its own terms
 (``split_lines``): the text is bytes, a ``str`` taken as its UTF-8
 encoding; lines split at LF, CRLF or CR and are stripped of ASCII
-whitespace.  Header lines are decoded; block rows are split on ASCII
-whitespace and their numbers read from bytes.  It is slow on large
-results, but easy to trust.
+whitespace.  Every line stays bytes: fields and rows are split on ASCII
+whitespace and their numbers read from bytes, and only a field key or a
+line quoted in an error is decoded.  It is slow on large results, but easy
+to trust.
 """
 
 import itertools
@@ -66,25 +67,24 @@ class _LineReader:
                 continue
             if self.mode == "solutions":
                 self.row(line, lineno)
-                continue
-            text = line.decode().strip()  # a header line is read as text
-            if text and not text.startswith("#"):
-                self.feed(text, lineno)
+            else:
+                self.feed(line, lineno)
 
-    def feed(self, line: str, lineno: int) -> None:
-        if line.startswith("code "):
+    def feed(self, line: bytes, lineno: int) -> None:
+        """A header line: a ``key: value`` field or a histogram row."""
+        if line.startswith(b"code "):
             raise ParseError("'code' line outside solutions block", lineno)
-        if ":" in line:
-            key, _, rest = line.partition(":")
-            self.field(key.strip(), rest.strip(), lineno)
+        if b":" in line:
+            key, _, rest = line.partition(b":")
+            self.field(key.strip().decode(), rest.strip(), lineno)
         elif self.mode == "hist":
             try:
                 lvl, c0, c1, c2 = map(int, line.split())  # ValueError unless 4 ints
             except ValueError:
-                raise ParseError(f"bad histogram line {line!r}", lineno) from None
+                raise ParseError(f"bad histogram line {line.decode()!r}", lineno) from None
             self.stats.child_hist[lvl] = [c0, c1, c2]
         else:
-            raise ParseError(f"unexpected line {line!r}", lineno)
+            raise ParseError(f"unexpected line {line.decode()!r}", lineno)
 
     def row(self, line: bytes, lineno: int) -> None:
         """A line of the solution block: a ``code`` line or a coordinate row."""
@@ -109,19 +109,19 @@ class _LineReader:
         except ValueError:
             raise ParseError(f"bad coordinate in {line.decode()!r}", lineno) from None
 
-    def field(self, key: str, rest: str, lineno: int) -> None:
+    def field(self, key: str, rest: bytes, lineno: int) -> None:
         if key == "format":
-            if not rest.startswith("dgp-result"):
-                raise ParseError(f"not a result file (format {rest!r})", lineno)
+            if not rest.startswith(b"dgp-result"):
+                raise ParseError(f"not a result file (format {rest.decode()!r})", lineno)
         elif key == "status":
-            self.stats.budget_exceeded = rest == "budget-exceeded"
+            self.stats.budget_exceeded = rest == b"budget-exceeded"
         elif key in ("child_hist", "solutions"):
             self.mode = "hist" if key == "child_hist" else "solutions"
         elif key in ("dimension", "n", "max_window_residual") or key in _INT_FIELDS:
             try:
                 value = float(rest) if key == "max_window_residual" else int(rest)
             except ValueError:
-                raise ParseError(f"bad value {rest!r} for {key!r}", lineno) from None
+                raise ParseError(f"bad value {rest.decode()!r} for {key!r}", lineno) from None
             if key in ("dimension", "n"):
                 if value < 1:
                     raise ParseError(f"{key} must be >= 1, got {value}", lineno)

@@ -18,8 +18,10 @@ from dgbp.cli import main
 from dgbp.instance import (
     Instance,
     _line_index,
+    _records,
     counterexample,
     edge_violations,
+    parse_instance,
     random_instance,
     serialize_instance,
 )
@@ -352,9 +354,9 @@ class TestSolutionShape:
                 self.check(parse(text).solutions, n, K, S)
             # the line loop that names a bulk read's error sizes its stack too
             data = text.encode()
-            lines = [data[i:j] for i, j in zip(*_line_index(data))]
-            *sizes, _, start = _read_header(line.decode() for line in lines)
-            self.check(_read_solution_lines(lines, start, *sizes)[0], n, K, S)
+            records = _records(data, *_line_index(data))
+            *sizes, _, _ = _read_header(records)
+            self.check(_read_solution_lines(records, *sizes)[0], n, K, S)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_prefix_leaves(self, corpus, m):
@@ -507,7 +509,7 @@ def bulk_read(text: str):
     """What ``parse_result``'s bulk read makes of a text: ``(stack, codes)`` or None."""
     data = text.encode()
     index = _line_index(data)
-    K, n, count, _, start = _read_header(data[a:b].decode() for a, b in zip(*index))
+    K, n, count, _, start = _read_header(_records(data, *index))
     return _read_bulk(data, *index, start, K, n, count)
 
 
@@ -788,12 +790,51 @@ class TestBulkRead:
         assert outcome(parse_result, text.encode()) == want
         data = text.encode()
         assert [data[i:j] for i, j in zip(*_line_index(data))] == split_lines(data)
-        # ASCII whitespace is a separator; a CR ends the line, which leaves a
-        # stray row inside a comment; a header line is stripped as text
+        # ASCII whitespace is a separator and a CR ends the line, which
+        # leaves a stray row inside a comment and blank lines in the header;
+        # a header line holding any other character is not blank
         reads = (char in "\x0b\x0c" or where == "comment" and char != "\r"
-                 or where in ("row-end", "code-end") and char == "\r"
-                 or where == "header" and char not in "\x7f\x00")
+                 or where in ("row-end", "code-end", "header") and char == "\r")
         assert want[0] == ("ok" if reads else "error")
+
+    @pytest.mark.parametrize("char", ["\t", "\x0b", "\x0c", "\u00a0", "\u2028", "\x85",
+                                      "\u0665", "\uff15"])
+    @pytest.mark.parametrize("site", ["instance-value", "instance-key", "result-value",
+                                      "result-key", "histogram"])
+    def test_one_field_model(self, char, site):
+        # fields and histogram rows of both file kinds follow the block rows'
+        # model: ASCII whitespace separates, and any other space or digit is
+        # a character of the token, so its line is an error
+        inst = counterexample(2)
+        kind = site.split("-")[0]
+        if kind == "instance":
+            parse, text = parse_instance, serialize_instance(inst)
+        else:
+            parse, text = parse_result, serialize_result(solve(inst))
+        lines = text.splitlines()
+        if site == "histogram":
+            i = lines.index("child_hist:") + 1
+            lines[i] = lines[i].replace(" ", " " + char, 1)
+        else:
+            i = lines.index("n: 5")
+            lines[i] = f"n{char}: 5" if site.endswith("key") else f"n: {char}5"
+        changed = "\n".join(lines) + "\n"
+        if char in "\t\x0b\x0c":
+            if kind == "instance":
+                assert serialize_instance(parse_instance(changed)) == text
+            else:
+                assert outcome(parse_result, changed) == outcome(parse_result, text)
+            return
+        key, value = "n" + char, char + "5"
+        message = {"instance-value": f"bad n {value!r}",
+                   "result-value": f"bad value {value!r} for 'n'",
+                   "histogram": f"bad histogram line {lines[i]!r}"}
+        want = ("error", f"line {i + 1}: {message.get(site, f'unknown field {key!r}')}", i + 1)
+        with pytest.raises(ParseError) as err:
+            parse(changed)
+        assert ("error", str(err.value), err.value.line) == want
+        if kind == "result":
+            assert outcome(parse_result_by_line, changed) == want
 
     def test_lone_surrogate_rejected_with_line(self, small_results):
         # a str that no UTF-8 encodes is the line-numbered error of bytes that are not UTF-8
