@@ -7,8 +7,9 @@ the wall time; reruns of the same command are byte-identical except for the
 wall-time trailer.
 
 Exit codes: 0 success / orbit verified; 2 infeasible instance; 3 invalid
-input, usage error or out of memory; 4 node budget exceeded; 5 degenerate
-instance flagged by analyze; 6 verification failure.
+input, usage error or out of memory; 4 node budget exceeded, by solve or in
+the result that analyze or verify reads; 5 degenerate instance flagged by
+analyze; 6 verification failure.
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def cmd_analyze(args, command: str) -> int:
     _say(f"{args.result}: |X|={report.solution_count} group_order={report.group_order} "
          f"orbit_verified={report.orbit_verified} power_of_two={report.power_of_two} "
          f"degenerate={report.degenerate}")
+    if result.stats.budget_exceeded:
+        _say("status: budget-exceeded; the report covers only the solutions found")
+        return EXIT_BUDGET
     if report.degenerate:
         return EXIT_DEGENERATE
     if report.orbit_verified and report.power_of_two:
@@ -287,7 +291,8 @@ def cmd_verify(args, command: str) -> int:
     if len(codes) != len(result.branch_codes):
         _say("duplicate branch codes in result")
         failures += 1
-    if args.oracle:
+    budget_hit = result.stats.budget_exceeded
+    if args.oracle and not budget_hit:
         try:
             oracle = brute_force(inst, args.atol, args.rtol)
         except BudgetExceeded:
@@ -300,6 +305,9 @@ def cmd_verify(args, command: str) -> int:
     if failures:
         _say(f"verification FAILED ({failures} problem(s))")
         return EXIT_VERIFY_FAILED
+    if budget_hit:
+        _say("status: budget-exceeded; the solutions listed pass, but the search found only some")
+        return EXIT_BUDGET
     _say("verification passed")
     return EXIT_OK
 

@@ -384,23 +384,6 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _utf8(text: str | bytes) -> bytes:
-    """The bytes of a text, or a ParseError naming the line of the first byte not UTF-8.
-
-    A ``str`` is read as its UTF-8 encoding; a lone surrogate encodes as it
-    stands (``surrogatepass``), into bytes that are not UTF-8.
-    """
-    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from exc
-    return data
-
-
 def _line_index(data: bytes) -> tuple:
     """``(starts, ends)``, the byte bounds of every line of ``data``, stripped.
 
@@ -432,35 +415,48 @@ def _line_index(data: bytes) -> tuple:
     return starts, ends
 
 
-def _records(data: bytes, starts, ends):
-    """``(lineno, line)`` for each line that is neither blank nor a ``#`` comment.
+def _records(text: str | bytes) -> tuple:
+    """``(data, linenos, starts, ends)``: the bytes of a text and its records.
 
-    ``starts`` and ``ends`` are :func:`_line_index` bounds, as lists or arrays.
+    A ``str`` is read as its UTF-8 encoding; a lone surrogate encodes as it
+    stands (``surrogatepass``), into bytes that are not UTF-8.  Bytes that
+    are not UTF-8 raise a ParseError naming the line of the first bad byte.
+    The records are the :func:`_line_index` lines that are neither blank
+    nor a ``#`` comment: their 1-based line numbers and byte bounds, as
+    arrays.
     """
-    for lineno, begin, end in zip(itertools.count(1), starts, ends):
-        line = data[begin:end]
-        if line and line[0] != 35:  # ord("#"): an int compare costs half a startswith
-            yield lineno, line
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    starts, ends = _line_index(data)
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # A byte past 0x7f is no blank, so its stripped line starts at or before it.
+            line = int(np.searchsorted(starts, exc.start, "right"))
+            raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from exc
+    kept = ends > starts
+    kept[kept] = np.frombuffer(data, dtype=np.uint8)[starts[kept]] != ord("#")
+    return data, np.flatnonzero(kept) + 1, starts[kept], ends[kept]
 
 
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the text form produced by :func:`serialize_instance`, as ``str`` or ``bytes``.
 
-    Lines are those of :func:`_records`.  ``dimension`` and ``n`` must
+    Lines are the records of :func:`_records`.  ``dimension`` and ``n`` must
     appear before the ``initial_embedding:`` block (K rows of K reals),
     which must precede the ``edges:`` block (one ``u v d`` triple per
     line).  Lines stay bytes; only a field key is decoded.  Raises
     ParseError with a line number on any deviation; a repeated edge is
     reported with code ``DuplicateEdge``.
     """
-    data = _utf8(text)
+    data, linenos, starts, ends = _records(text)
     dimension = n = None
     emb_rows: list[tuple] = []
     edges: dict = {}
     mode = None
 
-    starts, ends = _line_index(data)
-    for lineno, line in _records(data, starts.tolist(), ends.tolist()):
+    for lineno, begin, end in zip(linenos.tolist(), starts.tolist(), ends.tolist()):
+        line = data[begin:end]
         # An int operand: ``in`` with a bytes operand costs ten times as much per line.
         if ord(":") in line and not (mode == "edges" and line[:1].isdigit()):
             key, _, rest = line.partition(b":")

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import _EMPTY, _TANGENT, EPS_NORMAL, _anchor_planes, extend_stack, row_dots
-from .instance import Instance, _line_index, _records, _utf8, stacked_edge_violations, validate
+from .instance import Instance, _records, stacked_edge_violations, validate
 
 logger = logging.getLogger(__name__)
 
@@ -440,20 +440,19 @@ _MAX_ROW_VALUES = np.iinfo(np.intp).max // 8
 def parse_result(text: str | bytes) -> SolveResult:
     """Parse :func:`serialize_result` output, as ``str`` or ``bytes`` (the instance is None).
 
-    The lines are those of ``instance._records``, read as bytes.  The header
-    is read line by line up to the ``solutions:`` line (``_read_header``),
-    then the solution block in bulk (``_read_bulk``); a block that fails a
-    bulk check is read line by line from the records left
-    (``_read_solution_lines``) to name the line of the error.  Text that is
-    not UTF-8, a malformed field or histogram row, a size no array can hold,
-    a code whose length is not n and a coordinate that is not a finite
-    number raise a line-numbered ParseError.
+    The lines are the records of ``instance._records``, read as bytes.  The
+    header is read record by record up to the ``solutions:`` line
+    (``_read_header``), then the records after it in bulk (``_read_bulk``);
+    a block that fails a bulk check is read record by record from the same
+    generator (``_read_solution_lines``) to name the line of the error.
+    Text that is not UTF-8, a malformed field or histogram row, a size no
+    array can hold, a code whose length is not n and a coordinate that is
+    not a finite number raise a line-numbered ParseError.
     """
-    data = _utf8(text)
-    starts, ends = _line_index(data)
-    records = _records(data, starts, ends)
-    K, n, count, stats, start = _read_header(records)
-    read = _read_bulk(data, starts, ends, start, K, n, count)
+    data, linenos, starts, ends = _records(text)
+    records = ((int(lineno), data[begin:end]) for lineno, begin, end in zip(linenos, starts, ends))
+    K, n, count, stats, first = _read_header(records)
+    read = _read_bulk(data, starts[first:], ends[first:], K, n, count)
     if read is None:
         read = _read_solution_lines(records, K, n, count)
     return SolveResult(None, *read, stats)
@@ -462,11 +461,12 @@ def parse_result(text: str | bytes) -> SolveResult:
 def _read_header(records) -> tuple:
     """The header of a result file, read from its records up to the ``solutions:`` line.
 
-    ``records`` yields ``(lineno, line)`` as ``instance._records`` does; none
-    after ``solutions:`` is taken.  Returns ``(K, n, count, stats, start)``:
-    the ``dimension``, ``n`` and ``solution_count`` fields (None where
-    missing), the other fields as SolveStats, and the index of the line
-    after ``solutions:`` (after the last record when there is none).  A
+    ``records`` yields ``(lineno, line)`` for each record of
+    ``instance._records``; none after ``solutions:`` is taken.  Returns
+    ``(K, n, count, stats, first)``: the ``dimension``, ``n`` and
+    ``solution_count`` fields (None where missing), the other fields as
+    SolveStats, and the number of records taken, so that record ``first``
+    is the one after ``solutions:`` (after the last when there is none).  A
     ``:`` line is a field and, after ``child_hist:``, any other line a
     histogram row, read from bytes.  A ``dimension`` or ``n`` below 1 is an
     error, so every result has a shape, and so is one that makes n * K more
@@ -475,8 +475,8 @@ def _read_header(records) -> tuple:
     stats = SolveStats()
     sizes = dict.fromkeys(("dimension", "n", "solution_count"))
     hist = False
-    lineno = 0
-    for lineno, line in records:
+    taken = 0
+    for taken, (lineno, line) in enumerate(records, 1):
         if line.startswith(b"code "):
             raise ParseError("'code' line outside solutions block", lineno)
         if ord(":") not in line:
@@ -491,7 +491,7 @@ def _read_header(records) -> tuple:
         key, _, rest = line.partition(b":")
         key, rest = key.strip().decode(), rest.strip()
         if key == "solutions":
-            return *sizes.values(), stats, lineno
+            return *sizes.values(), stats, taken
         if key == "format":
             if not rest.startswith(b"dgp-result"):
                 raise ParseError(f"not a result file (format {rest.decode()!r})", lineno)
@@ -516,7 +516,7 @@ def _read_header(records) -> tuple:
                 setattr(stats, key, value)
         else:
             raise ParseError(f"unknown field {key!r}", lineno)
-    return *sizes.values(), stats, lineno
+    return *sizes.values(), stats, taken
 
 
 def _read_solution_lines(records, K, n, count) -> tuple:
@@ -567,15 +567,15 @@ def _read_solution_lines(records, K, n, count) -> tuple:
     return np.reshape(rows, (count, n, K)), codes
 
 
-def _read_bulk(data: bytes, starts, ends, first: int, K, n, count):
-    """The solution block, lines ``first:`` of the text's line index, or None.
+def _read_bulk(data: bytes, starts, ends, K, n, count):
+    """The solution block from the byte bounds of its records, or None.
 
     Returns ``(stack, codes)`` when the block passes every check, and None,
-    leaving the error to ``_read_solution_lines``, when any fails.  Once
-    blank and comment lines are dropped, the block must hold ``count``
-    blocks of one ``code`` line and n coordinate lines, so nothing is sized
-    by n before that count bounds it.  The code lines, taken by stride
-    n + 1, must end in n bits, which are checked as one (count, n) matrix.
+    leaving the error to ``_read_solution_lines``, when any fails.  The
+    records must be ``count`` blocks of one ``code`` line and n coordinate
+    lines, so nothing is sized by n before that count bounds it.  The code
+    lines, taken by stride n + 1, must end in n bits, which are checked as
+    one (count, n) matrix.
     Neighbours in code order share every row above the first bit where
     their codes differ (see ``_row_texts``).  That prefix is predicted from
     the codes and confirmed by one comparison of the bytes spanning it in
@@ -588,17 +588,12 @@ def _read_bulk(data: bytes, starts, ends, first: int, K, n, count):
     ``_read_solution_lines``.  Each row is then gathered from the last
     solution up to it that read it (``_last_fresh``).
     """
-    if K is None or n is None or count is None:
-        return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    starts, ends = starts[first:], ends[first:]
-    kept = ends > starts
-    kept[kept] = b[starts[kept]] != ord("#")
-    if np.count_nonzero(kept) != count * (n + 1):
+    if K is None or n is None or count is None or len(starts) != count * (n + 1):
         return None
     if not count:
         return np.empty((0, n, K)), []
-    starts, ends = starts[kept].reshape(count, n + 1), ends[kept].reshape(count, n + 1)
+    b = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = starts.reshape(count, n + 1), ends.reshape(count, n + 1)
     heads, head_ends = starts[:, 0], ends[:, 0]
     exact = head_ends - heads == n + 5
     if not (b[heads[exact, None] + np.arange(5)] == np.frombuffer(b"code ", np.uint8)).all():

@@ -278,6 +278,20 @@ class TestAnalyze:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == (status, 0) and outcomes[0][2] == ["verification passed"]
 
+    def test_one_solution_missing_exit_6(self, tmp_path, capsys):
+        # a generic result less one solution: not one orbit, and not degenerate
+        res = tmp_path / "res.txt"
+        main(["solve", str(fixture_path("chain_k2_n5")), "--out", str(res)])
+        lines = read(res).splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines) if line.startswith("code "))
+        del lines[last : last + 6]
+        lines[lines.index("solution_count: 8\n")] = "solution_count: 7\n"
+        res.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", str(res), "--out", str(tmp_path / "rep.txt")]) == 6
+        assert capsys.readouterr().err.endswith(
+            "|X|=7 group_order=4 orbit_verified=False power_of_two=False degenerate=False\n")
+
     def test_infeasible_result_exit_3(self, tmp_path):
         text = read(fixture_path("random_03"))
         inst = parse_instance(text)
@@ -335,6 +349,20 @@ class TestVerify:
         assert [line.split(" off by ")[0] for line in failures[:-1]] == [
             "solution 0: edge {1, 2}", "solution 0: edge {1, 3}"]
 
+    def test_duplicate_codes_exit_6(self, tmp_path, capsys):
+        res = tmp_path / "res.txt"
+        inst = fixture_path("chain_k2_n5")
+        main(["solve", str(inst), "--out", str(res)])
+        lines = read(res).splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("code "))
+        lines[first:first] = lines[first : first + 6]  # solution 0 twice
+        lines[lines.index("solution_count: 8\n")] = "solution_count: 9\n"
+        res.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(res), "--oracle"]) == 6
+        assert capsys.readouterr().err == (
+            "duplicate branch codes in result\nverification FAILED (1 problem(s))\n")
+
     def test_bad_header_sizes_exit_3(self, tmp_path, capsys):
         res = tmp_path / "res.txt"
         res.write_text("format: dgp-result 1\ndimension: -1\nn: -7\nsolution_count: 0\n"
@@ -376,6 +404,63 @@ class TestVerify:
         assert main(["verify", str(fixture_path("random_03")), str(res), *oracle]) == 6
         assert capsys.readouterr().err == (
             "result is for n=5, K=2; instance has n=8, K=2\n")
+
+
+class TestBudgetLimitedResult:
+    """A result the node budget cut short is reported as such: analyze and verify exit 4."""
+
+    ANALYZE = "status: budget-exceeded; the report covers only the solutions found\n"
+    VERIFY = "status: budget-exceeded; the solutions listed pass, but the search found only some\n"
+
+    @staticmethod
+    def truncated(tmp_path, n, max_nodes):
+        inst, res = tmp_path / "inst.txt", tmp_path / "res.txt"
+        main(["generate", "--random", "--k", "2", "--n", str(n), "--seed", "3",
+              "--out", str(inst)])
+        assert main(["solve", str(inst), "--out", str(res), "--max-nodes", str(max_nodes)]) == 4
+        assert "status: budget-exceeded\n" in read(res)
+        return inst, res
+
+    @pytest.fixture
+    def half(self, tmp_path):
+        # 2,048 of the instance's 4,096 solutions: one orbit, but not all of them
+        inst, res = self.truncated(tmp_path, 14, 7000)
+        assert "solution_count: 2048\n" in read(res)
+        return inst, res
+
+    def test_analyze_exit_4(self, tmp_path, capsys, half):
+        rep = tmp_path / "rep.txt"
+        capsys.readouterr()
+        assert main(["analyze", str(half[1]), "--out", str(rep)]) == 4
+        err = capsys.readouterr().err.splitlines(keepends=True)
+        assert len(err) == 2 and err[1] == self.ANALYZE
+        assert "orbit_verified: true" in read(rep)
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_verify_exit_4(self, capsys, half, oracle):
+        capsys.readouterr()
+        assert main(["verify", *map(str, half), *oracle]) == 4
+        assert capsys.readouterr().err == self.VERIFY
+
+    def test_verify_bad_edge_exit_6(self, tmp_path, capsys, half):
+        inst, res = half
+        lines = read(res).splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("code ")) + 1
+        lines[at] = "%.17g %s\n" % (float(lines[at].split()[0]) + 0.1, lines[at].split()[1])
+        res.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(res)]) == 6
+        assert capsys.readouterr().err.endswith(" problem(s))\n")
+
+    def test_no_solutions(self, tmp_path, capsys):
+        # 1,024 solutions, none found within the budget: nothing to analyze
+        inst, res = self.truncated(tmp_path, 12, 2000)
+        assert "solution_count: 0\n" in read(res)
+        capsys.readouterr()
+        assert main(["analyze", str(res), "--out", str(tmp_path / "rep.txt")]) == 3
+        assert main(["verify", str(inst), str(res)]) == 4
+        assert capsys.readouterr().err == (
+            "nothing to analyze: result has no solutions\n" + self.VERIFY)
 
 
 class TestPlotTable:

@@ -426,6 +426,40 @@ class TestSerialization:
         assert parse_instance(text) == inst
 
 
+class TestParseErrors:
+    """Each grammar error of parse_instance, with its text and line number."""
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("dimension: 1\nn: 2\ninitial_embedding: 0\n",
+         "initial_embedding takes no inline value", 3),
+        ("dimension: 1\nn: 2\ninitial_embedding:\n0\nedges: 1 2 1\n",
+         "edges takes no inline value", 5),
+        ("dimension: 1\ninitial_embedding:\n0\n",
+         "dimension and n must precede initial_embedding", 2),
+        ("n: 2\nedges:\n1 2 1\n", "dimension and n must precede edges", 2),
+        ("dimension: 2\nn: 3\ninitial_embedding:\n0 0\n1\n",
+         "initial embedding row needs 2 coordinates, got 1", 5),
+        ("dimension: 1\nn: 2\ninitial_embedding:\n0\nedges:\n2 2 1\n",
+         "self-loop on vertex 2", 6),
+        ("format: dgp-result 1\n", "not an instance file (format 'dgp-result 1')", 1),
+        ("n: 2\n", "missing 'dimension' field", None),
+        ("dimension: 1\n", "missing 'n' field", None),
+        ("dimension: 1\nn: 2\ninitial_embedding:\n0\n", "missing 'edges' section", None),
+        ("dimension: 2\nn: 3\ninitial_embedding:\n0 0\nedges:\n1 2 1\n",
+         "initial embedding has 1 rows, expected 2", None),
+    ], ids=["embedding-inline", "edges-inline", "embedding-early", "edges-early", "short-row",
+            "self-loop", "result-format", "no-dimension", "no-n", "no-edges", "few-rows"])
+    @pytest.mark.parametrize("padding", ["", "# note\n\n"], ids=["plain", "padded"])
+    def test_message_and_line(self, text, message, line, padding):
+        # blank and comment lines are not records, but they are counted
+        if line is not None and padding:
+            line += 2
+        with pytest.raises(ParseError) as err:
+            parse_instance(padding + text)
+        prefix = "" if line is None else f"line {line}: "
+        assert (str(err.value), err.value.line) == (prefix + message, line)
+
+
 class TestLineModel:
     """parse_instance reads bytes and str through the one line index."""
 

@@ -353,8 +353,8 @@ class TestSolutionShape:
             for parse in (parse_result, parse_result_by_line):
                 self.check(parse(text).solutions, n, K, S)
             # the line loop that names a bulk read's error sizes its stack too
-            data = text.encode()
-            records = _records(data, *_line_index(data))
+            data, linenos, starts, ends = _records(text)
+            records = ((int(i), data[j:k]) for i, j, k in zip(linenos, starts, ends))
             *sizes, _, _ = _read_header(records)
             self.check(_read_solution_lines(records, *sizes)[0], n, K, S)
 
@@ -507,10 +507,10 @@ def small_results():
 
 def bulk_read(text: str):
     """What ``parse_result``'s bulk read makes of a text: ``(stack, codes)`` or None."""
-    data = text.encode()
-    index = _line_index(data)
-    K, n, count, _, start = _read_header(_records(data, *index))
-    return _read_bulk(data, *index, start, K, n, count)
+    data, linenos, starts, ends = _records(text)
+    records = ((int(i), data[j:k]) for i, j, k in zip(linenos, starts, ends))
+    K, n, count, _, first = _read_header(records)
+    return _read_bulk(data, starts[first:], ends[first:], K, n, count)
 
 
 def outcome(parse, text):
