@@ -8,8 +8,9 @@ wall-time trailer.
 
 Exit codes: 0 success / orbit verified; 2 infeasible instance; 3 invalid
 input, usage error or out of memory; 4 node budget exceeded, by solve or in
-the result that analyze or verify reads; 5 degenerate instance flagged by
-analyze; 6 verification failure.
+the result that analyze or verify reads, or the oracle of verify --oracle
+over its budget; 5 degenerate instance flagged by analyze; 6 verification
+failure, which verify reports before any budget.
 """
 
 from __future__ import annotations
@@ -297,11 +298,13 @@ def cmd_verify(args, command: str) -> int:
             oracle = brute_force(inst, args.atol, args.rtol)
         except BudgetExceeded:
             _say("oracle comparison beyond the exhaustive budget")
-            return EXIT_BUDGET
-        oracle_codes = set(recompute_codes(inst, oracle))
-        if oracle_codes != codes:
-            _say(f"oracle found {len(oracle_codes)} codes, result has {len(codes)}")
-            failures += 1
+            if not failures:
+                return EXIT_BUDGET
+        else:
+            oracle_codes = set(recompute_codes(inst, oracle))
+            if oracle_codes != codes:
+                _say(f"oracle found {len(oracle_codes)} codes, result has {len(codes)}")
+                failures += 1
     if failures:
         _say(f"verification FAILED ({failures} problem(s))")
         return EXIT_VERIFY_FAILED

@@ -85,6 +85,14 @@ def _cofactor_layout(K: int) -> tuple:
     return kept, signs
 
 
+@functools.lru_cache(maxsize=256)
+def _row_starts(F: int, K: int) -> np.ndarray:
+    """The flat index of the first entry of each row of a C-contiguous (F, K) array."""
+    starts = np.arange(0, F * K, K)
+    starts.flags.writeable = False
+    return starts
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise ``a[..., :] @ b[..., :]`` over the last axis.
 
@@ -124,12 +132,14 @@ def _anchor_planes(X: np.ndarray, references) -> np.ndarray:
     if _flat((lengths / math.factorial(K - 1)) ** 2, reach, K - 1).any():
         raise DegenerateSpan("anchor points do not span a hyperplane")
     normals = minors / lengths[:, None]
-    # A unit normal always has a component above EPS_NORMAL: the pivot.
-    flip = normals[np.arange(F), (np.abs(normals) > EPS_NORMAL).argmax(1)] < 0.0
+    # A unit normal always has a component above EPS_NORMAL: the pivot,
+    # read through the flat index of the contiguous normals.
+    pivot = (np.abs(normals) > EPS_NORMAL).argmax(1)
+    flip = normals.ravel()[_row_starts(F, K) + pivot] < 0.0
     if references is not None:
         along = row_dots(normals, np.asarray(references, dtype=float))
         flip = (along < -EPS_NORMAL) | ((np.abs(along) <= EPS_NORMAL) & flip)
-    return np.where(flip[:, None], -normals, normals)
+    return np.negative(normals, out=normals, where=flip[:, None])
 
 
 def reflect_stack(normals, bases, points) -> np.ndarray:

@@ -354,7 +354,10 @@ def stacked_edge_violations(inst: Instance, embeddings, atol: float = 1e-9,
         return out
     delta = emb[:, ends[:, 0]] - emb[:, ends[:, 1]]
     res = np.abs(np.sqrt(row_dots(delta, delta)) - d)
-    hits, cols = np.nonzero(~(res <= atol + rtol * d))
+    within = res <= atol + rtol * d
+    if within.all():
+        return out
+    hits, cols = np.nonzero(~within)
     pairs = map(tuple, (ends[cols] + 1).tolist())
     for s, pair, value in zip(hits.tolist(), pairs, res[hits, cols].tolist()):
         out[s].append((pair, value))

@@ -21,6 +21,7 @@ and plain serialization of results.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -290,16 +291,27 @@ def _side_bits(X: np.ndarray, K: int) -> np.ndarray:
     S, n = X.shape[:2]
     levels = n - K
     rows = S * levels
-    windows = X[:, np.arange(levels)[:, None] + np.arange(K)].reshape(rows, K, K)
+    windows = X[:, _window_index(levels, K)].reshape(rows, K, K)
     normals = _anchor_planes(windows, None)
     gaps = row_dots(normals, (X[:, K:] - X[:, K - 1 : -1]).reshape(rows, K))
     turns = row_dots(normals[1:], normals[:-1])
-    reset = np.arange(rows) % levels == 0
+    reset = np.zeros(rows, dtype=bool)
+    reset[::levels] = True
     reset[1:] |= np.abs(turns) <= EPS_NORMAL
-    count = np.cumsum(np.r_[False, turns < -EPS_NORMAL])
+    count = np.zeros(rows, dtype=np.intp)
+    np.less(turns, -EPS_NORMAL, out=count[1:])
+    count.cumsum(out=count)
     count -= np.maximum.accumulate(np.where(reset, count, 0))
-    gaps[count % 2 == 1] *= -1.0
+    np.negative(gaps, out=gaps, where=(count & 1).astype(bool))
     return (~(gaps <= 0.0)).reshape(S, levels)
+
+
+@functools.lru_cache(maxsize=64)
+def _window_index(levels: int, K: int) -> np.ndarray:
+    """``index[i, j] = i + j``: the K rows of the anchor window of each of ``levels`` levels."""
+    index = np.arange(levels)[:, None] + np.arange(K)
+    index.flags.writeable = False
+    return index
 
 
 def recompute_code(inst: Instance, embedding) -> tuple:

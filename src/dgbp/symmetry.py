@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -154,7 +155,9 @@ class SymmetryReport:
     degenerate: bool
     uniform_level_violations: tuple
     tangent_events: int
+    budget_exceeded: bool
     reflection_checks: tuple
+    reflection_levels: tuple
 
 
 def verify_orbit(result) -> SymmetryReport:
@@ -174,8 +177,15 @@ def verify_orbit(result) -> SymmetryReport:
     does, every (solution, level in I) pair is additionally checked against
     the tail-reflection prediction: the residual is measured to the solution
     whose code is the predicted partner ``c XOR flip_i``, or is ``inf``
-    (``matched_index=-1``) when no solution has that code.  A result read
-    from a file has no instance and gets no reflection checks.
+    (``matched_index=-1``) when no solution has that code.  Those checks are
+    also summarised per level in ``reflection_levels``, one tuple
+    ``(level, checks, missing, worst, first)`` per level in I: the number
+    of checks, the number with no partner, the largest residual (``inf``
+    when a partner is missing) and the first solution with no partner
+    (None when every solution has one).  A result read from a file has no
+    instance and gets no reflection checks.  ``budget_exceeded`` repeats
+    the result's flag: a search cut short by its node budget found only
+    some of the solutions.
     """
     codes = list(result.branch_codes)
     if not codes:
@@ -195,9 +205,9 @@ def verify_orbit(result) -> SymmetryReport:
     tangents = stats.tangent_events if stats else 0
     degenerate = bool(violations) or tangents > 0
 
-    checks: list[ReflectionCheck] = []
+    checks, summary = (), ()
     if result.instance is not None:
-        checks = _reflection_checks(result.solutions, codes, sorted(levels))
+        checks, summary = _reflection_checks(result.solutions, codes, sorted(levels))
 
     return SymmetryReport(
         n=n,
@@ -210,17 +220,22 @@ def verify_orbit(result) -> SymmetryReport:
         degenerate=degenerate,
         uniform_level_violations=violations,
         tangent_events=tangents,
-        reflection_checks=tuple(checks),
+        budget_exceeded=bool(stats and stats.budget_exceeded),
+        reflection_checks=checks,
+        reflection_levels=summary,
     )
 
 
-def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
-    """Tail-reflection checks of every (solution, level), solution major.
+def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> tuple:
+    """Tail-reflection checks of every (solution, level), and their summary per level.
 
     Per level: one stacked partial reflection of all S solutions, partners
     found through codes packed into integers (the suffix flip at i is the
     mask of the low n-i+1 bits), and the residual ``max_row |partner -
-    mirrored|``.
+    mirrored|``.  Returns the ReflectionChecks, solution major, and the
+    ``(level, checks, missing, worst, first)`` tuple of each level (see
+    :func:`verify_orbit`), both read off the (S, levels) arrays of partners
+    and residuals.
     """
     S, n = stack.shape[:2]
     keys = [int(digits, 2) for digits in _code_lines(codes)]
@@ -234,12 +249,19 @@ def _reflection_checks(stack: np.ndarray, codes: list, levels: list) -> list:
         residual = np.sqrt((d * d).sum(-1)).max(-1)
         residual[partner < 0] = np.inf
         partners[:, j], residuals[:, j] = partner, residual
-    return list(map(ReflectionCheck,
-                    np.repeat(np.arange(S), len(levels)).tolist(),
-                    levels * S,
-                    residuals.ravel().tolist(),
-                    (partners >= 0).ravel().tolist(),
-                    partners.ravel().tolist()))
+    found = partners >= 0
+    checks = tuple(map(tuple.__new__, repeat(ReflectionCheck), zip(
+        np.repeat(np.arange(S), len(levels)).tolist(),
+        levels * S,
+        residuals.ravel().tolist(),
+        found.ravel().tolist(),
+        partners.ravel().tolist())))
+    missing = ~found
+    first = [i if miss else None
+             for i, miss in zip(missing.argmax(0).tolist(), missing.any(0).tolist())]
+    summary = tuple(zip(levels, [S] * len(levels), missing.sum(0).tolist(),
+                        residuals.max(0).tolist(), first))
+    return checks, summary
 
 
 def distance_spectrum(result, u: int, v: int) -> tuple:
@@ -299,7 +321,13 @@ def distance_spectrum(result, u: int, v: int) -> tuple:
 
 
 def serialize_report(report: SymmetryReport) -> str:
-    """Deterministic plain-text form of a symmetry report."""
+    """Deterministic plain-text form of a symmetry report.
+
+    A report of a budget-limited result has a ``status: budget-exceeded``
+    line after the format line.  The ``reflection_checks:`` block holds one
+    ``level checks missing worst first`` line per level of
+    ``reflection_levels``, ``-`` standing for no first missing partner.
+    """
     lines = [
         "format: dgp-symmetry 1",
         f"n: {report.n}",
@@ -314,10 +342,10 @@ def serialize_report(report: SymmetryReport) -> str:
         f"tangent_events: {report.tangent_events}",
         "codes:",
     ]
+    if report.budget_exceeded:
+        lines.insert(1, "status: budget-exceeded")
     lines += _code_lines(report.codes)
     lines.append("reflection_checks:")
-    for chk in report.reflection_checks:
-        lines.append(
-            f"{chk.solution_index} {chk.level} {chk.residual:.17g} "
-            f"{str(chk.code_matches).lower()} {chk.matched_index}")
+    lines += [f"{level} {checks} {missing} {worst:.17g} {'-' if first is None else first}"
+              for level, checks, missing, worst, first in report.reflection_levels]
     return "\n".join(lines) + "\n"

@@ -330,6 +330,25 @@ class TestVerify:
         assert main(["verify", str(inst), str(res), "--oracle"]) == 4
         assert capsys.readouterr().err == "oracle comparison beyond the exhaustive budget\n"
 
+    def test_oracle_beyond_budget_keeps_edge_failures_exit_6(self, tmp_path, capsys):
+        # the same instance with solution 0 moved: its edge failures decide
+        # the exit, with the oracle skipped or not
+        inst, res = tmp_path / "r27.txt", tmp_path / "res.txt"
+        main(["generate", "--random", "--k", "1", "--n", "27", "--prune", "1", "--seed", "0",
+              "--out", str(inst)])
+        main(["solve", str(inst), "--out", str(res)])
+        lines = read(res).splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("code ")) + 1
+        lines[at] = "%.17g\n" % (float(lines[at]) + 0.5)
+        res.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(res)]) == 6
+        plain = capsys.readouterr().err.splitlines()
+        assert len(plain) == 27 and plain[-1] == "verification FAILED (26 problem(s))"
+        assert main(["verify", str(inst), str(res), "--oracle"]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            *plain[:-1], "oracle comparison beyond the exhaustive budget", plain[-1]]
+
     def test_tampered_coordinate_exit_6(self, tmp_path, capsys):
         res = tmp_path / "res.txt"
         inst = fixture_path("chain_k2_n5")
@@ -434,7 +453,18 @@ class TestBudgetLimitedResult:
         assert main(["analyze", str(half[1]), "--out", str(rep)]) == 4
         err = capsys.readouterr().err.splitlines(keepends=True)
         assert len(err) == 2 and err[1] == self.ANALYZE
-        assert "orbit_verified: true" in read(rep)
+        report = read(rep).split("\n")
+        assert "orbit_verified: true" in report
+        at = report.index("format: dgp-symmetry 1")
+        assert report[at + 1] == "status: budget-exceeded"
+        assert report.count("status: budget-exceeded") == 1
+
+    def test_solved_report_has_no_status(self, tmp_path, half):
+        inst, res = half
+        main(["solve", str(inst), "--out", str(res)])
+        rep = tmp_path / "rep.txt"
+        assert main(["analyze", str(res), "--out", str(rep)]) == 0
+        assert "status:" not in read(rep)
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
     def test_verify_exit_4(self, capsys, half, oracle):

@@ -11,11 +11,14 @@ from dgbp.geometry import (
     _PAIR,
     _TANGENT,
     EPS_TANGENT,
+    _cofactor_layout,
+    _flat,
     cayley_menger_volume,
     extend_stack,
     _anchor_planes,
     level_table,
     reflect_stack,
+    row_dots,
 )
 from dgbp.instance import regular_simplex
 from spheres import table_row
@@ -150,6 +153,72 @@ class TestHyperplane:
                 normal, base = plane(pts)
                 assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
                 assert np.max(np.abs((pts - base) @ normal)) <= 1e-10
+
+
+def anchor_planes_reference(X: np.ndarray, references) -> np.ndarray:
+    """``_anchor_planes`` as first written: pivot by 2-D indexing, flips by ``np.where``."""
+    F, K = X.shape[0], X.shape[2]
+    diffs = X[:, :-1] - X[:, -1:]
+    kept, signs = _cofactor_layout(K)
+    minors = signs * np.linalg.det(np.ascontiguousarray(diffs[:, :, kept].transpose(0, 2, 1, 3)))
+    lengths = np.sqrt(row_dots(minors, minors))
+    reach = (diffs * diffs).sum(-1).max(-1, initial=0.0)
+    if _flat((lengths / math.factorial(K - 1)) ** 2, reach, K - 1).any():
+        raise DegenerateSpan("anchor points do not span a hyperplane")
+    normals = minors / lengths[:, None]
+    flip = normals[np.arange(F), (np.abs(normals) > EPS_NORMAL).argmax(1)] < 0.0
+    if references is not None:
+        along = row_dots(normals, np.asarray(references, dtype=float))
+        flip = (along < -EPS_NORMAL) | ((np.abs(along) <= EPS_NORMAL) & flip)
+    return np.where(flip[:, None], -normals, normals)
+
+
+#: Normal components and reference offsets at and around EPS_NORMAL, either sign.
+NEAR_TIES = [0.0, 5e-13, 1e-12 * (1 - 1e-9), 1e-12, 1e-12 * (1 + 1e-9), 2e-12]
+
+
+class TestAnchorPlanesReference:
+    """_anchor_planes against the formula it replaced, bit for bit, ties included."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=300, derandomize=True)
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 5))
+        F = int(rng.integers(1, 13))
+        X = np.empty((F, K, K))
+        for f in range(F):
+            # a unit normal whose components sit at or near the pivot
+            # threshold, and anchors spanning the plane orthogonal to it
+            normal = rng.normal(size=K)
+            small = rng.random(K) < 0.5
+            normal[small] = rng.choice(NEAR_TIES, small.sum()) * rng.choice([-1.0, 1.0], small.sum())
+            if not np.abs(normal).max() > 0.5:
+                normal[rng.integers(K)] = rng.choice([-1.0, 1.0])
+            normal /= np.linalg.norm(normal)
+            basis = np.linalg.svd(normal[None])[2][1:]
+            X[f] = rng.normal(size=K) + np.vstack([basis, np.zeros((1, K))]) * rng.uniform(0.5, 2)
+        mode = rng.integers(3)
+        if mode == 0:
+            refs = None
+        else:
+            refs = rng.normal(size=(F, K))
+            if mode == 2:
+                # references within EPS_NORMAL of orthogonal to the canonical normal
+                canon = anchor_planes_reference(X, None)
+                refs -= row_dots(refs, canon)[:, None] * canon
+                offsets = rng.choice(NEAR_TIES, F) * rng.choice([-1.0, 1.0], F)
+                refs += offsets[:, None] * canon
+        want = anchor_planes_reference(X, refs)
+        got = _anchor_planes(X, refs)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    def test_degenerate_rows_raise_in_both(self):
+        X = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        for planes in (_anchor_planes, anchor_planes_reference):
+            with pytest.raises(DegenerateSpan):
+                planes(X, None)
 
 
 class TestReflect:

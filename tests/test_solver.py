@@ -1,7 +1,10 @@
+import importlib.util
 import logging
 import math
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1003,7 +1006,26 @@ class TestRecomputeCodes:
         wide = 2 * (BATCH_ROWS // max(1, n - K)) + 1
         S = data.draw(st.sampled_from([0, 1, len(pool), wide]), label="S")
         stack = pool[rng.integers(len(pool), size=S)]
-        inst = Instance(K, n, {}, [[0.0] * K] * K)
+        self.check_against_decoder(Instance(K, n, {}, [[0.0] * K] * K), stack)
+
+    def test_matches_decoder_on_benchmark_oracle(self):
+        # the oracle stack that the symmetry_tree benchmark decodes: the
+        # perfbench seed-1 K=2 n=12 full tree, 1,024 embeddings
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads",
+            Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+        workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
+        [inp] = workloads.make_inputs("symmetry_tree", 1)
+        inst = parse_instance(inp.text)
+        stack = brute_force(inst)
+        assert stack.shape == (1024, 12, 2)
+        self.check_against_decoder(inst, stack)
+        assert recompute_codes(inst, stack) == solve(inst).branch_codes
+
+    @staticmethod
+    def check_against_decoder(inst, stack):
+        """recompute_codes, and recompute_code on the first embedding, give the decoder's codes."""
         try:
             want = recompute_codes_by_level(inst, stack)
         except DegenerateSpan:
@@ -1011,7 +1033,7 @@ class TestRecomputeCodes:
                 recompute_codes(inst, stack)
             return
         assert recompute_codes(inst, stack) == want
-        if S:
+        if len(stack):
             assert recompute_code(inst, stack[0]) == want[0]
 
     @given(data=st.data())

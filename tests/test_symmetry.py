@@ -21,6 +21,26 @@ from dgbp.symmetry import (
 from flips import GroupTooLarge, combine_flips, span_flips, xor_bits
 
 
+#: K=1..4, n in {8, 14, 20}, p in {0, 0.1, 0.3}, seeds 0-3, less the full
+#: trees of K <= 3 at n = 20 (131,072 to 524,288 solutions).
+GRID = [(K, n, p, seed) for K in range(1, 5) for n in (8, 14, 20) for p in (0.0, 0.1, 0.3)
+        for seed in range(4) if not (K <= 3 and n == 20 and p == 0.0)]
+
+
+def summarise_checks(checks) -> tuple:
+    """The ``(level, checks, missing, worst, first)`` rows of a list of ReflectionChecks."""
+    rows: dict = {}
+    for chk in checks:
+        row = rows.setdefault(chk.level, [chk.level, 0, 0, chk.residual, None])
+        row[1] += 1
+        row[3] = max(row[3], chk.residual)
+        if not chk.code_matches:
+            row[2] += 1
+            if row[4] is None:
+                row[4] = chk.solution_index
+    return tuple(tuple(rows[level]) for level in sorted(rows))
+
+
 class TestFlips:
     def test_last_level(self):
         assert suffix_flip(5, 5) == (0, 0, 0, 0, 1)
@@ -198,6 +218,40 @@ class TestVerifyOrbit:
         result = parse_result(serialize_result(solve(chain_k2_n5)))
         report = verify_orbit(result)
         assert report.orbit_verified and report.reflection_checks == ()
+        assert report.reflection_levels == ()
+        assert serialize_report(report).endswith("\nreflection_checks:\n")
+
+    @pytest.mark.parametrize("K, n, p, seed", GRID)
+    def test_level_summary_aggregates_checks(self, K, n, p, seed):
+        report = verify_orbit(solve(random_instance(K, n, p, seed)[0]))
+        assert report.reflection_levels == summarise_checks(report.reflection_checks)
+        assert [row[0] for row in report.reflection_levels] == sorted(report.branch_levels)
+
+    def test_level_summary_of_counterexamples(self):
+        # two checks per K have no partner: the summary counts both, with an
+        # inf worst residual and a first solution
+        for K in range(1, 5):
+            report = verify_orbit(solve(counterexample(K)))
+            assert report.reflection_levels == summarise_checks(report.reflection_checks)
+            assert sum(row[2] for row in report.reflection_levels) == 2
+            assert any(row[3] == float("inf") and row[4] is not None
+                       for row in report.reflection_levels)
+
+    @pytest.mark.parametrize("name, block", [
+        ("chain_k2_n5", [["3", "8", "0", "-"], ["4", "8", "0", "-"], ["5", "8", "0", "-"]]),
+        ("counterexample_k2", [["3", "6", "0", "-"], ["4", "6", "2", "inf", "2"]]),
+    ])
+    def test_report_block_one_line_per_level(self, corpus, name, block):
+        # level, checks, missing and first are pinned; a finite worst
+        # residual is a rounding error, written with 17 digits
+        report = verify_orbit(solve(corpus[name]))
+        head, lines = serialize_report(report).split("reflection_checks:\n")
+        assert head.endswith("\n") and lines.endswith("\n")
+        rows = [line.split(" ") for line in lines.splitlines()]
+        assert [row[:3] + row[4:] if row[3] != "inf" else row for row in rows] == block
+        for row, (_, _, _, worst, _) in zip(rows, report.reflection_levels):
+            assert row[3] == "%.17g" % worst
+            assert worst == float("inf") or worst <= 1e-9
 
     @pytest.mark.parametrize("codes, verified", [
         ([(0, 0), (1, 0)], False),  # right size for |I| = 1, not a coset
